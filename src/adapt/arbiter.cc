@@ -17,11 +17,12 @@ const est::ServedTier kTiers[] = {est::ServedTier::kHistogramResidual,
 
 }  // namespace
 
-TierArbiter::TierArbiter(TierArbiterOptions options) : opts_(options) {}
+TierArbiter::TierArbiter(TierArbiterOptions options)
+    : opts_(options), switch_log_(options.switch_log) {}
 
 double TierArbiter::WindowP95Locked(const TierWindow& w) const {
   if (w.observed < opts_.min_samples || w.qerrors.empty()) return 0.0;
-  std::vector<double> sorted = w.qerrors;
+  std::vector<double> sorted = w.qerrors.ToVector();
   std::sort(sorted.begin(), sorted.end());
   return common::QuantileSorted(sorted, 0.95);
 }
@@ -71,10 +72,7 @@ void TierArbiter::EvaluateLocked(uint64_t fss, RouteState* route) {
   sw.from_p95 = incumbent_p95;
   sw.to_p95 = best_p95;
   sw.at_observation = observations_;
-  if (switch_log_.size() >= opts_.switch_log && !switch_log_.empty()) {
-    switch_log_.erase(switch_log_.begin());
-  }
-  switch_log_.push_back(sw);
+  switch_log_.Push(sw);
   ++switches_;
   route->current = best;
   route->since_switch = 0;
@@ -100,14 +98,11 @@ void TierArbiter::ObserveTier(uint64_t fss, est::ServedTier tier,
     it = routes_.emplace(fss, std::move(fresh)).first;
   }
   RouteState& route = it->second;
-  TierWindow& window = route.windows[static_cast<int>(tier)];
+  TierWindow& window =
+      route.windows.try_emplace(static_cast<int>(tier), opts_.window)
+          .first->second;
   const double clamped = std::max(qerror, 1.0);
-  if (window.qerrors.size() < opts_.window) {
-    window.qerrors.push_back(clamped);
-  } else if (!window.qerrors.empty()) {
-    window.qerrors[window.next_slot] = clamped;
-    window.next_slot = (window.next_slot + 1) % window.qerrors.size();
-  }
+  window.qerrors.Push(clamped);
   ++window.observed;
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry::Global()
@@ -144,7 +139,7 @@ void TierArbiter::ResetTier(est::ServedTier tier) {
 
 std::vector<TierArbiter::TierSwitch> TierArbiter::RecentSwitches() const {
   common::MutexLock lock(&mu_);
-  return switch_log_;
+  return switch_log_.ToVector();
 }
 
 double TierArbiter::TierP95(uint64_t fss, est::ServedTier tier) const {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/ring.h"
 #include "common/thread_annotations.h"
 #include "estimators/request.h"
 
@@ -95,8 +96,8 @@ class TierArbiter {
 
  private:
   struct TierWindow {
-    std::vector<double> qerrors;  // ring, oldest evicted
-    size_t next_slot = 0;
+    explicit TierWindow(size_t capacity) : qerrors(capacity) {}
+    common::Ring<double> qerrors;
     size_t observed = 0;
   };
   struct RouteState {
@@ -113,7 +114,7 @@ class TierArbiter {
 
   mutable common::Mutex mu_;
   std::map<uint64_t, RouteState> routes_ QFCARD_GUARDED_BY(mu_);
-  std::vector<TierSwitch> switch_log_ QFCARD_GUARDED_BY(mu_);
+  common::Ring<TierSwitch> switch_log_ QFCARD_GUARDED_BY(mu_);
   uint64_t switches_ QFCARD_GUARDED_BY(mu_) = 0;
   uint64_t observations_ QFCARD_GUARDED_BY(mu_) = 0;
 };

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/ring.h"
 #include "common/thread_annotations.h"
 #include "query/query.h"
 
@@ -83,13 +84,9 @@ class FeedbackBus {
   std::vector<FeedbackRecord> Snapshot() const;
 
  private:
-  const FeedbackBusOptions opts_;
-
   mutable common::Mutex mu_;
-  std::vector<FeedbackRecord> ring_ QFCARD_GUARDED_BY(mu_);
-  size_t next_slot_ QFCARD_GUARDED_BY(mu_) = 0;  // ring cursor once full
+  common::Ring<FeedbackRecord> ring_ QFCARD_GUARDED_BY(mu_);
   uint64_t published_ QFCARD_GUARDED_BY(mu_) = 0;
-  uint64_t dropped_ QFCARD_GUARDED_BY(mu_) = 0;
 
   /// Serializes fan-outs and guards the registry. Lock order:
   /// subscribers_mu_ -> mu_ (Publish holds subscribers_mu_ across the ring

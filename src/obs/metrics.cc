@@ -149,22 +149,25 @@ double Histogram::Quantile(double q) const {
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(total);
+  const double max = Max();
   double cum = 0.0;
   for (size_t i = 0; i < counts.size(); ++i) {
     if (counts[i] == 0) continue;
     const double next = cum + static_cast<double>(counts[i]);
     if (next >= target) {
-      if (i == counts.size() - 1) return Max();  // overflow bucket
-      if (i == 0) return bounds_[0];  // first bucket reports its upper edge
+      if (i == counts.size() - 1) return max;  // overflow bucket
+      // The first bucket reports its upper edge. Both it and interpolation
+      // can overshoot the largest sample, so clamp to the observed max.
+      if (i == 0) return std::min(bounds_[0], max);
       const double lo = bounds_[i - 1];
       const double hi = bounds_[i];
       const double frac =
           (target - cum) / static_cast<double>(counts[i]);
-      return lo + std::clamp(frac, 0.0, 1.0) * (hi - lo);
+      return std::min(lo + std::clamp(frac, 0.0, 1.0) * (hi - lo), max);
     }
     cum = next;
   }
-  return Max();
+  return max;
 }
 
 const std::vector<double>& LatencyBounds() {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/env.h"
 #include "common/stats.h"
 #include "common/str_util.h"
 #include "obs/metrics.h"
@@ -11,30 +10,13 @@
 namespace qfcard::obs {
 
 QErrorDriftMonitor& QErrorDriftMonitor::Global() {
-  static QErrorDriftMonitor* monitor = [] {
-    DriftMonitorOptions opts;
-    opts.window = static_cast<size_t>(std::max<int64_t>(
-        1, common::GetEnvInt("QFCARD_DRIFT_WINDOW",
-                             static_cast<int64_t>(opts.window))));
-    // Integer env knob: threshold in thousandths (10.0 -> 10000).
-    opts.p95_threshold =
-        static_cast<double>(common::GetEnvInt(
-            "QFCARD_DRIFT_P95",
-            static_cast<int64_t>(opts.p95_threshold * 1000.0))) /
-        1000.0;
-    opts.min_samples = static_cast<size_t>(std::max<int64_t>(
-        1, common::GetEnvInt("QFCARD_DRIFT_MIN_SAMPLES",
-                             static_cast<int64_t>(opts.min_samples))));
-    return new QErrorDriftMonitor(opts);  // leaked: outlives static dtors
-  }();
+  // Leaked: outlives static destructors.
+  static QErrorDriftMonitor* monitor = new QErrorDriftMonitor();
   return *monitor;
 }
 
 QErrorDriftMonitor::QErrorDriftMonitor(DriftMonitorOptions options) {
-  common::MutexLock lock(&mu_);
-  opts_ = options;
-  if (opts_.window == 0) opts_.window = 1;
-  window_.reserve(opts_.window);
+  Reset(&options);
 }
 
 void QErrorDriftMonitor::Observe(double qerror) {
@@ -44,12 +26,7 @@ void QErrorDriftMonitor::Observe(double qerror) {
     common::MutexLock lock(&mu_);
     ++observed_;
     max_qerror_ = std::max(max_qerror_, qerror);
-    if (window_.size() < opts_.window) {
-      window_.push_back(qerror);
-    } else {
-      window_[next_slot_] = qerror;
-      next_slot_ = (next_slot_ + 1) % opts_.window;
-    }
+    window_.Push(qerror);
     RecomputeLocked();
     const bool now_degraded =
         window_.size() >= opts_.min_samples && p95_ > opts_.p95_threshold;
@@ -101,7 +78,7 @@ void QErrorDriftMonitor::RemoveFlipListener(uint64_t id) {
 void QErrorDriftMonitor::RecomputeLocked() {
   // Exact window quantiles by sorting a copy: the window is small (hundreds)
   // and Observe runs on labeled feedback, not the estimation hot path.
-  std::vector<double> sorted = window_;
+  std::vector<double> sorted = window_.ToVector();
   std::sort(sorted.begin(), sorted.end());
   p50_ = common::QuantileSorted(sorted, 0.50);
   p95_ = common::QuantileSorted(sorted, 0.95);
@@ -147,9 +124,7 @@ void QErrorDriftMonitor::Reset(const DriftMonitorOptions* options) {
     opts_ = *options;
     if (opts_.window == 0) opts_.window = 1;
   }
-  window_.clear();
-  window_.reserve(opts_.window);
-  next_slot_ = 0;
+  window_ = common::Ring<double>(opts_.window);
   observed_ = 0;
   max_qerror_ = 0.0;
   degraded_ = false;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/ring.h"
 #include "common/thread_annotations.h"
 
 namespace qfcard::obs {
@@ -33,9 +34,9 @@ struct DriftMonitorOptions {
 /// estimation hot path.
 class QErrorDriftMonitor {
  public:
-  /// Shared process-wide monitor, configured from the environment on first
-  /// use: QFCARD_DRIFT_WINDOW, QFCARD_DRIFT_P95 (x1000, integer env),
-  /// QFCARD_DRIFT_MIN_SAMPLES. Exported in every telemetry snapshot.
+  /// Shared process-wide monitor with default DriftMonitorOptions. Exported
+  /// in every telemetry snapshot; callers that need other thresholds build
+  /// their own monitor.
   static QErrorDriftMonitor& Global();
 
   explicit QErrorDriftMonitor(DriftMonitorOptions options = {});
@@ -71,7 +72,7 @@ class QErrorDriftMonitor {
   /// Called on every healthy->degraded flip with the state that triggered
   /// it, from the Observe thread. Listeners must be fast and must not call
   /// back into this monitor (the listener lock is held during the call);
-  /// hand heavy work off to another thread (serve::Retrainer does).
+  /// hand heavy work off to another thread (adapt::Retrainer does).
   using FlipListener = std::function<void(const State&)>;
 
   /// Registers a flip listener; returns an id for RemoveFlipListener.
@@ -84,8 +85,7 @@ class QErrorDriftMonitor {
  private:
   mutable common::Mutex mu_;
   DriftMonitorOptions opts_ QFCARD_GUARDED_BY(mu_);
-  std::vector<double> window_ QFCARD_GUARDED_BY(mu_);  // ring, oldest evicted
-  size_t next_slot_ QFCARD_GUARDED_BY(mu_) = 0;
+  common::Ring<double> window_ QFCARD_GUARDED_BY(mu_);
   uint64_t observed_ QFCARD_GUARDED_BY(mu_) = 0;
   double max_qerror_ QFCARD_GUARDED_BY(mu_) = 0.0;
   bool degraded_ QFCARD_GUARDED_BY(mu_) = false;

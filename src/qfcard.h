@@ -19,13 +19,12 @@
 ///  - workload/ : synthetic forest/IMDb data and workload generators
 ///  - eval/     : experiment harness and reporting
 ///  - serve/    : model lifecycle and the estimation server — versioned
-///                bundles on disk, hot-swap serving, drift-triggered
-///                retraining, feature-space routing, cross-request
-///                micro-batching (docs/serving.md)
-///  - adapt/    : online adaptive estimation — execution-feedback bus,
-///                per-route kNN and residual-correction tiers, and the
-///                q-error-driven tier arbiter in front of the ML path
-///                (docs/adaptive.md)
+///                bundles on disk, hot-swap serving, feature-space routing,
+///                cross-request micro-batching (docs/serving.md)
+///  - adapt/    : learning from executed truths — the execution-feedback
+///                bus, per-route kNN and residual-correction tiers, the
+///                q-error-driven tier arbiter in front of the ML path, and
+///                the drift-triggered retrainer (docs/adaptive.md)
 ///
 /// Estimation is batch-first: prefer est::CardinalityEstimator::EstimateBatch
 /// and featurize::Featurizer::FeaturizeBatch over per-query calls; both fan
@@ -48,6 +47,7 @@
 #include "adapt/feedback_bus.h"
 #include "adapt/online_knn.h"
 #include "adapt/residual.h"
+#include "adapt/retrainer.h"
 #include "common/env.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -103,7 +103,6 @@
 #include "serve/bundle.h"
 #include "serve/fss.h"
 #include "serve/model_store.h"
-#include "serve/retrainer.h"
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/serving_estimator.h"

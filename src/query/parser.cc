@@ -1,6 +1,7 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/str_util.h"
@@ -106,7 +107,7 @@ class Lexer {
     const std::string text(sql_.substr(start, pos_ - start));
     char* end = nullptr;
     const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) {
+    if (end != text.c_str() + text.size() || !std::isfinite(v)) {
       return common::Status::InvalidArgument(
           common::StrFormat("bad number literal '%s'", text.c_str()));
     }

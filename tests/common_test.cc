@@ -3,6 +3,7 @@
 
 #include "common/env.h"
 #include "common/random.h"
+#include "common/ring.h"
 #include "common/status.h"
 #include "common/str_util.h"
 #include "gtest/gtest.h"
@@ -206,6 +207,42 @@ TEST(RngTest, BernoulliExtremes) {
     EXPECT_FALSE(rng.Bernoulli(0.0));
     EXPECT_TRUE(rng.Bernoulli(1.0));
   }
+}
+
+TEST(RingTest, WrapAroundIsOldestFirst) {
+  Ring<int> ring(3);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_FALSE(ring.Push(1));
+  EXPECT_FALSE(ring.Push(2));
+  EXPECT_EQ(ring.ToVector(), (std::vector<int>{1, 2}));
+  EXPECT_FALSE(ring.Push(3));
+  EXPECT_TRUE(ring.Push(4));  // evicts 1
+  EXPECT_TRUE(ring.Push(5));  // evicts 2
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.ToVector(), (std::vector<int>{3, 4, 5}));
+  for (int v = 6; v <= 10; ++v) ring.Push(v);
+  EXPECT_EQ(ring.ToVector(), (std::vector<int>{8, 9, 10}));
+}
+
+TEST(RingTest, CapacityOneKeepsNewest) {
+  Ring<int> ring(1);
+  EXPECT_FALSE(ring.Push(7));
+  EXPECT_TRUE(ring.Push(8));
+  EXPECT_EQ(ring.ToVector(), (std::vector<int>{8}));
+  Ring<int> none(0);
+  EXPECT_TRUE(none.Push(1));  // capacity 0 retains nothing
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(RingTest, ClearResets) {
+  Ring<int> ring(2);
+  for (int v = 1; v <= 5; ++v) ring.Push(v);
+  ring.Clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_FALSE(ring.Push(6));
+  EXPECT_FALSE(ring.Push(7));
+  EXPECT_TRUE(ring.Push(8));
+  EXPECT_EQ(ring.ToVector(), (std::vector<int>{7, 8}));
 }
 
 TEST(EnvTest, ScalePickDefault) {

@@ -134,11 +134,12 @@ TEST_F(MetricsTest, ResetForTestZeroesInPlaceKeepingPointersValid) {
 TEST_F(MetricsTest, QuantileInterpolationAndEdgeBuckets) {
   Histogram hist({1.0, 2.0, 4.0});
   EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 0.0);  // empty
-  // All mass in the first bucket: quantiles report its upper edge.
+  // All mass in the first bucket: quantiles report its upper edge, clamped
+  // to the observed max.
   hist.Observe(0.5);
   hist.Observe(0.25);
-  EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(hist.Quantile(0.99), 1.0);
+  EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 0.5);
+  EXPECT_DOUBLE_EQ(hist.Quantile(0.99), 0.5);
   hist.Reset();
   // All mass past the last edge: the overflow bucket reports the exact max.
   hist.Observe(10.0);
@@ -148,9 +149,17 @@ TEST_F(MetricsTest, QuantileInterpolationAndEdgeBuckets) {
   hist.Reset();
   // Interior bucket: linear interpolation between its edges. Ten values in
   // (1, 2]; the median lands halfway through that bucket.
+  // The upper tail would interpolate to the bucket edge 2.0 and is clamped
+  // to the observed max.
   for (int i = 0; i < 10; ++i) hist.Observe(1.5);
   EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 1.5);
-  EXPECT_DOUBLE_EQ(hist.Quantile(1.0), 2.0);
+  EXPECT_DOUBLE_EQ(hist.Quantile(1.0), 1.5);
+  // No quantile ever exceeds the largest sample.
+  hist.Observe(1.2);
+  hist.Observe(3.0);
+  for (const double q : {0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_LE(hist.Quantile(q), hist.Max()) << "q=" << q;
+  }
 }
 
 TEST_F(MetricsTest, StandardBoundsAreStrictlyAscending) {

@@ -113,6 +113,9 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseSql("SELECT count(*) FROM t WHERE a > 'x").ok());
   EXPECT_FALSE(ParseSql("SELECT count(*) FROM t WHERE (a > 1").ok());
   EXPECT_FALSE(ParseSql("SELECT count(*) FROM t extra junk").ok());
+  // Literals that overflow to infinity are not numbers.
+  EXPECT_FALSE(ParseSql("SELECT count(*) FROM t WHERE a > 1e999").ok());
+  EXPECT_FALSE(ParseSql("SELECT count(*) FROM t WHERE a < -1e999").ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,14 +8,16 @@
 #include <utility>
 #include <vector>
 
+#include "adapt/feedback_bus.h"
+#include "adapt/retrainer.h"
 #include "common/random.h"
 #include "estimators/registry.h"
 #include "estimators/true_card.h"
 #include "gtest/gtest.h"
 #include "obs/qerror_monitor.h"
+#include "query/executor.h"
 #include "serve/bundle.h"
 #include "serve/model_store.h"
-#include "serve/retrainer.h"
 #include "serve/serving_estimator.h"
 #include "storage/catalog.h"
 #include "workload/forest.h"
@@ -214,6 +216,23 @@ const RetrainFixture& GetRetrainFixture() {
   return *fixture;
 }
 
+using adapt::FeedbackBus;
+using adapt::Retrainer;
+using adapt::RetrainerOptions;
+using adapt::RetrainResult;
+
+/// Publishes (query, truth) pairs the way serving code reports executed
+/// truths.
+void PublishLabeled(FeedbackBus* bus,
+                    const std::vector<workload::LabeledQuery>& labeled) {
+  for (const workload::LabeledQuery& lq : labeled) {
+    adapt::FeedbackRecord record;
+    record.query = lq.query;
+    record.true_card = lq.card;
+    bus->Publish(std::move(record));
+  }
+}
+
 RetrainerOptions SmallRetrainerOptions() {
   RetrainerOptions opts;
   opts.estimator_name = "gb+conjunctive";
@@ -227,14 +246,13 @@ RetrainerOptions SmallRetrainerOptions() {
 TEST(RetrainerTest, InsufficientFeedbackIsANoOp) {
   const RetrainFixture& fx = GetRetrainFixture();
   ServingEstimator serving(std::make_shared<ConstEstimator>(1.0), 0);
-  Retrainer retrainer(&serving, &fx.catalog, SmallRetrainerOptions());
-  for (int i = 0; i < 5; ++i) {
-    retrainer.AddFeedback(fx.labeled[static_cast<size_t>(i)].query,
-                          fx.labeled[static_cast<size_t>(i)].card);
-  }
-  EXPECT_EQ(retrainer.feedback_size(), 5u);
+  FeedbackBus bus;
+  Retrainer retrainer(&serving, &fx.catalog, &bus, SmallRetrainerOptions());
+  PublishLabeled(&bus, {fx.labeled.begin(), fx.labeled.begin() + 5});
+  EXPECT_EQ(bus.size(), 5u);
   auto result = retrainer.RetrainNow();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->feedback_used, 5u);
   EXPECT_FALSE(result->attempted);
   EXPECT_FALSE(result->promoted);
   EXPECT_NE(result->detail.find("insufficient"), std::string::npos);
@@ -247,8 +265,9 @@ TEST(RetrainerTest, PromotesImprovingCandidateThroughStore) {
   ModelStore store(MakeTempRoot("promote"));
   RetrainerOptions opts = SmallRetrainerOptions();
   opts.store = &store;
-  Retrainer retrainer(&serving, &fx.catalog, opts);
-  for (const auto& lq : fx.labeled) retrainer.AddFeedback(lq.query, lq.card);
+  FeedbackBus bus;
+  Retrainer retrainer(&serving, &fx.catalog, &bus, opts);
+  PublishLabeled(&bus, fx.labeled);
 
   auto result = retrainer.RetrainNow();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -283,8 +302,9 @@ TEST(RetrainerTest, RejectsNonImprovingCandidate) {
   RetrainerOptions opts = SmallRetrainerOptions();
   opts.estimator_name = "linear+simple";
   opts.store = &store;
-  Retrainer retrainer(&serving, &fx.catalog, opts);
-  for (const auto& lq : fx.labeled) retrainer.AddFeedback(lq.query, lq.card);
+  FeedbackBus bus;
+  Retrainer retrainer(&serving, &fx.catalog, &bus, opts);
+  PublishLabeled(&bus, fx.labeled);
 
   auto result = retrainer.RetrainNow();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -303,11 +323,34 @@ TEST(RetrainerTest, RejectsNonImprovingCandidate) {
 TEST(RetrainerTest, FeedbackRingOverwritesOldest) {
   const RetrainFixture& fx = GetRetrainFixture();
   ServingEstimator serving(std::make_shared<ConstEstimator>(1.0), 0);
-  RetrainerOptions opts = SmallRetrainerOptions();
-  opts.max_feedback = 16;
-  Retrainer retrainer(&serving, &fx.catalog, opts);
-  for (const auto& lq : fx.labeled) retrainer.AddFeedback(lq.query, lq.card);
-  EXPECT_EQ(retrainer.feedback_size(), 16u);
+  FeedbackBus bus(adapt::FeedbackBusOptions{16});
+  Retrainer retrainer(&serving, &fx.catalog, &bus, SmallRetrainerOptions());
+  PublishLabeled(&bus, fx.labeled);
+  EXPECT_EQ(bus.size(), 16u);
+  auto result = retrainer.RetrainNow();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->feedback_used, 16u);
+}
+
+TEST(RetrainerTest, ExecutedTruthsReachTheRetrainer) {
+  // Executed count(*) queries reach the retrainer through the engine's
+  // feedback hook alone: no caller feeds it by hand.
+  const RetrainFixture& fx = GetRetrainFixture();
+  const storage::Table& table = *fx.catalog.GetTable("forest").value();
+  ServingEstimator serving(std::make_shared<ConstEstimator>(1.0), 0);
+  FeedbackBus bus;
+  Retrainer retrainer(&serving, &fx.catalog, &bus, SmallRetrainerOptions());
+  constexpr size_t kExecuted = 40;
+  {
+    adapt::ExecutionFeedbackConnection connection(&bus);
+    for (size_t i = 0; i < kExecuted; ++i) {
+      ASSERT_TRUE(query::Executor::Count(table, fx.labeled[i].query).ok());
+    }
+  }
+  auto result = retrainer.RetrainNow();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->feedback_used, kExecuted);
+  EXPECT_TRUE(result->attempted);
 }
 
 TEST(RetrainerTest, DriftFlipTriggersBackgroundRetrain) {
@@ -320,8 +363,9 @@ TEST(RetrainerTest, DriftFlipTriggersBackgroundRetrain) {
   obs::QErrorDriftMonitor monitor(monitor_opts);
   RetrainerOptions opts = SmallRetrainerOptions();
   opts.monitor = &monitor;
-  Retrainer retrainer(&serving, &fx.catalog, opts);
-  for (const auto& lq : fx.labeled) retrainer.AddFeedback(lq.query, lq.card);
+  FeedbackBus bus;
+  Retrainer retrainer(&serving, &fx.catalog, &bus, opts);
+  PublishLabeled(&bus, fx.labeled);
 
   retrainer.Start();
   for (int i = 0; i < 8; ++i) monitor.Observe(100.0);
