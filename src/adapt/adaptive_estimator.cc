@@ -205,50 +205,25 @@ common::StatusOr<double> AdaptiveEstimator::EstimateVia(
   return ml_->EstimateCard(q);
 }
 
-common::StatusOr<double> AdaptiveEstimator::EstimateCard(
-    const query::Query& q) const {
-  obs::TraceSpan span("adapt.predict");
-  obs::ScopedTimer timer("adapt.predict_seconds");
-  const uint64_t fss = serve::FeatureSpaceHash(q);
-  const TierPick pick = PickTier(fss);
-  obs::IncrementCounter("adapt.predictions",
-                        std::string("tier=") + est::ServedTierName(pick.tier));
-  return EstimateVia(q, fss, pick.tier);
-}
-
-common::StatusOr<est::EstimateResponse> AdaptiveEstimator::Estimate(
-    const est::EstimateRequest& request) const {
-  obs::TraceSpan span("adapt.predict");
-  obs::ScopedTimer timer("adapt.predict_seconds");
-  const uint64_t fss = request.route_hint != 0
-                           ? request.route_hint
-                           : serve::FeatureSpaceHash(request.query);
-  const TierPick pick = PickTier(fss);
-  obs::IncrementCounter("adapt.predictions",
-                        std::string("tier=") + est::ServedTierName(pick.tier));
-  est::EstimateResponse response;
-  QFCARD_ASSIGN_OR_RETURN(response.estimate,
-                          EstimateVia(request.query, fss, pick.tier));
-  response.tier = pick.tier;
-  response.tier_reason = pick.reason;
-  response.latency_seconds = timer.Seconds();
-  return response;
-}
-
-common::StatusOr<std::vector<est::EstimateResponse>>
-AdaptiveEstimator::EstimateRequests(
-    const std::vector<est::EstimateRequest>& requests) const {
+common::Status AdaptiveEstimator::EstimateInto(
+    std::span<const query::Query> queries,
+    std::span<est::EstimateResponse> out) const {
   // Sequential on purpose: every tier answers in O(k*dim) or one synopsis
-  // walk, and per-request tier provenance matters more than fan-out here.
-  // Estimates are identical to the EstimateCard loop (and to the default
-  // parallel EstimateBatch) by construction.
-  std::vector<est::EstimateResponse> responses;
-  responses.reserve(requests.size());
-  for (const est::EstimateRequest& request : requests) {
-    QFCARD_ASSIGN_OR_RETURN(est::EstimateResponse response, Estimate(request));
-    responses.push_back(std::move(response));
+  // walk, and per-query tier provenance matters more than fan-out here.
+  for (size_t i = 0; i < queries.size(); ++i) {
+    obs::TraceSpan span("adapt.predict");
+    obs::ScopedTimer timer("adapt.predict_seconds");
+    const uint64_t fss = serve::FeatureSpaceHash(queries[i]);
+    TierPick pick = PickTier(fss);
+    obs::IncrementCounter(
+        "adapt.predictions",
+        std::string("tier=") + est::ServedTierName(pick.tier));
+    QFCARD_ASSIGN_OR_RETURN(out[i].estimate,
+                            EstimateVia(queries[i], fss, pick.tier));
+    out[i].tier = pick.tier;
+    out[i].tier_reason = std::move(pick.reason);
   }
-  return responses;
+  return common::Status::Ok();
 }
 
 common::Status AdaptiveEstimator::Train(

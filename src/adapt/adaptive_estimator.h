@@ -55,8 +55,8 @@ struct AdaptiveOptions {
 /// other estimator, and responses carry the serving tier and the arbiter's
 /// reason (EstimateResponse::tier/tier_reason). Determinism: with a fixed
 /// feedback order, estimates are byte-identical at any QFCARD_THREADS —
-/// every tier is a deterministic function of learner state, and the default
-/// parallel EstimateBatch only fans out the same per-query computation.
+/// every tier is a deterministic function of learner state, and a batch
+/// runs the same per-query computation in input order.
 class AdaptiveEstimator : public est::CardinalityEstimator {
  public:
   /// `base` is the cheap synopses estimator the residual tier corrects
@@ -87,11 +87,11 @@ class AdaptiveEstimator : public est::CardinalityEstimator {
   /// benches with hand-rolled loops).
   void IngestFeedback(const FeedbackRecord& record);
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
-  common::StatusOr<est::EstimateResponse> Estimate(
-      const est::EstimateRequest& request) const override;
-  common::StatusOr<std::vector<est::EstimateResponse>> EstimateRequests(
-      const std::vector<est::EstimateRequest>& requests) const override;
+  /// Answers each query through the tier PickTier selects for its feature
+  /// space and stamps the response's tier/tier_reason.
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<est::EstimateResponse> out) const override;
 
   common::Status Train(const std::vector<query::Query>& queries,
                        const std::vector<double>& cards, double valid_fraction,

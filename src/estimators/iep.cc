@@ -6,7 +6,7 @@
 
 namespace qfcard::est {
 
-common::StatusOr<double> IepEstimator::EstimateCard(
+common::StatusOr<double> IepEstimator::EstimateOne(
     const query::Query& q) const {
   last_call_ = CallStats{};
 
@@ -77,15 +77,13 @@ common::StatusOr<double> IepEstimator::EstimateCard(
   return std::max(estimate, 1.0);
 }
 
-common::StatusOr<std::vector<double>> IepEstimator::EstimateBatch(
-    const std::vector<query::Query>& queries) const {
-  std::vector<double> out;
-  out.reserve(queries.size());
-  for (const query::Query& q : queries) {
-    QFCARD_ASSIGN_OR_RETURN(const double card, EstimateCard(q));
-    out.push_back(card);
+common::Status IepEstimator::EstimateInto(
+    std::span<const query::Query> queries,
+    std::span<EstimateResponse> out) const {
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QFCARD_ASSIGN_OR_RETURN(out[i].estimate, EstimateOne(queries[i]));
   }
-  return out;
+  return common::Status::Ok();
 }
 
 }  // namespace qfcard::est

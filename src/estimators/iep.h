@@ -30,19 +30,21 @@ class IepEstimator : public CardinalityEstimator {
   IepEstimator(const CardinalityEstimator* inner, int max_terms = 16)
       : inner_(inner), max_terms_(max_terms) {}
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
-  /// Serial override: EstimateCard mutates the per-call stats below, so the
-  /// parallel base-class fan-out would race. IEP is the paper's
-  /// impracticality baseline; it stays single-threaded by design.
-  common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override;
+  /// Serial: each query's expansion rewrites the per-call stats below, so a
+  /// parallel fan-out would race. IEP is the paper's impracticality
+  /// baseline; it stays single-threaded by design.
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<EstimateResponse> out) const override;
   std::string name() const override { return "IEP(" + inner_->name() + ")"; }
   size_t SizeBytes() const override { return inner_->SizeBytes(); }
 
-  /// Statistics of the most recent EstimateCard call.
+  /// Statistics of the most recently estimated query.
   const CallStats& last_call() const { return last_call_; }
 
  private:
+  common::StatusOr<double> EstimateOne(const query::Query& q) const;
+
   const CardinalityEstimator* inner_;
   int max_terms_;
   mutable CallStats last_call_;

@@ -67,7 +67,14 @@ common::StatusOr<query::Query> LocalModelSet::RewriteToLocal(
   return local;
 }
 
-common::StatusOr<double> LocalModelSet::EstimateCard(
+common::Status LocalModelSet::EstimateInto(
+    std::span<const query::Query> queries,
+    std::span<EstimateResponse> out) const {
+  return EstimateEach(*this, queries, out,
+                      [&](size_t i) { return EstimateOne(queries[i]); });
+}
+
+common::StatusOr<double> LocalModelSet::EstimateOne(
     const query::Query& q) const {
   QFCARD_ASSIGN_OR_RETURN(const query::Query local, RewriteToLocal(q));
   std::vector<std::string> tables;
@@ -102,7 +109,14 @@ bool LocalModelSet::HasModel(const std::vector<std::string>& tables) const {
   return it != entries_.end() && it->second.estimator != nullptr;
 }
 
-common::StatusOr<double> HybridEstimator::EstimateCard(
+common::Status HybridEstimator::EstimateInto(
+    std::span<const query::Query> queries,
+    std::span<EstimateResponse> out) const {
+  return EstimateEach(*this, queries, out,
+                      [&](size_t i) { return EstimateOne(queries[i]); });
+}
+
+common::StatusOr<double> HybridEstimator::EstimateOne(
     const query::Query& q) const {
   // 1. Exact sub-schema model.
   std::vector<std::string> tables;

@@ -55,8 +55,10 @@ class LocalModelSet : public CardinalityEstimator {
   /// sub-schema's materialized join.
   common::StatusOr<query::Query> RewriteToLocal(const query::Query& q) const;
 
-  /// Routes `q` to the local model of its sub-schema.
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
+  /// Routes each query to the local model of its sub-schema.
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<EstimateResponse> out) const override;
   std::string name() const override;
   /// Total model footprint across sub-schemas (materializations excluded:
   /// they are training-time scaffolding, not estimator state).
@@ -68,6 +70,8 @@ class LocalModelSet : public CardinalityEstimator {
   bool HasModel(const std::vector<std::string>& tables) const;
 
  private:
+  common::StatusOr<double> EstimateOne(const query::Query& q) const;
+
   struct Entry {
     std::unique_ptr<storage::Table> materialized;
     std::unique_ptr<MlEstimator> estimator;
@@ -97,13 +101,17 @@ class HybridEstimator : public CardinalityEstimator {
                   const PostgresStyleEstimator* synopses)
       : local_(local), synopses_(synopses) {}
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<EstimateResponse> out) const override;
   std::string name() const override { return "hybrid(" + local_->name() + ")"; }
   size_t SizeBytes() const override {
     return local_->SizeBytes() + synopses_->SizeBytes();
   }
 
  private:
+  common::StatusOr<double> EstimateOne(const query::Query& q) const;
+
   const LocalModelSet* local_;
   const PostgresStyleEstimator* synopses_;
 };

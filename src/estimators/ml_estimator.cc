@@ -31,46 +31,24 @@ common::Status MlEstimator::Train(const std::vector<query::Query>& queries,
   return model_->Fit(split.train, &split.test);
 }
 
-common::StatusOr<double> MlEstimator::EstimateCard(
-    const query::Query& q) const {
-  QFCARD_ASSIGN_OR_RETURN(const std::vector<float> vec,
-                          featurizer_->Featurize(q));
-  return ml::LabelToCard(model_->Predict(vec.data()));
-}
-
-common::StatusOr<std::vector<double>> MlEstimator::EstimateBatch(
-    const std::vector<query::Query>& queries) const {
-  obs::TraceSpan span("estimate.batch");
-  const std::string backend_label = "backend=" + name();
-  obs::ScopedTimer timer("estimate.batch_seconds", backend_label);
-  obs::IncrementCounter("estimate.queries", backend_label,
-                        static_cast<uint64_t>(queries.size()));
-  ml::Matrix x(static_cast<int>(queries.size()), featurizer_->dim());
-  {
-    // Sub-stage: featurize (FeaturizeBatch opens its own featurize.batch
-    // span, nested under estimate.featurize here).
-    obs::TraceSpan featurize_span("estimate.featurize");
-    obs::ScopedTimer featurize_timer("estimate.featurize_seconds",
-                                     backend_label);
-    QFCARD_RETURN_IF_ERROR(featurizer_->FeaturizeBatch(
-        {queries.data(), queries.size()}, x.data().data()));
-    obs::StageCapture::Report(obs::Stage::kFeaturize,
-                              featurize_timer.Seconds());
-  }
-  obs::TraceSpan predict_span("estimate.predict");
-  obs::ScopedTimer predict_timer("estimate.predict_seconds", backend_label);
-  const std::vector<float> preds = model_->PredictBatch(x);
-  std::vector<double> out(queries.size());
-  for (size_t i = 0; i < out.size(); ++i) out[i] = ml::LabelToCard(preds[i]);
-  obs::StageCapture::Report(obs::Stage::kPredict, predict_timer.Seconds());
-  return out;
-}
-
 namespace {
+
+// One ML sub-stage's seconds: into the caller's StageCapture (the server's
+// per-request breakdown) and, under ObserveBatch's label, into its
+// estimate.<stage>_seconds{backend} series.
+void ReportStage(obs::Stage stage, double seconds, const std::string& label) {
+  obs::StageCapture::Report(stage, seconds);
+  if (label.empty()) return;
+  if (stage == obs::Stage::kFeaturize) {
+    obs::ObserveLatency("estimate.featurize_seconds", seconds, label);
+  } else {
+    obs::ObserveLatency("estimate.predict_seconds", seconds, label);
+  }
+}
 
 // Set-featurizes `queries` in parallel (order-preserving).
 common::Status FeaturizeMscnBatch(const featurize::MscnFeaturizer& featurizer,
-                                  const std::vector<query::Query>& queries,
+                                  std::span<const query::Query> queries,
                                   std::vector<featurize::MscnSample>* out) {
   out->assign(queries.size(), featurize::MscnSample{});
   return common::GlobalPool().ParallelForStatus(
@@ -82,6 +60,31 @@ common::Status FeaturizeMscnBatch(const featurize::MscnFeaturizer& featurizer,
 }
 
 }  // namespace
+
+common::Status MlEstimator::EstimateInto(
+    std::span<const query::Query> queries,
+    std::span<EstimateResponse> out) const {
+  return ObserveBatch(*this, queries.size(), [&](const std::string& label) {
+    ml::Matrix x(static_cast<int>(queries.size()), featurizer_->dim());
+    {
+      // Sub-stage: featurize (FeaturizeBatch opens its own featurize.batch
+      // span, nested under estimate.featurize here).
+      obs::TraceSpan featurize_span("estimate.featurize");
+      const obs::ScopedTimer featurize_timer;
+      QFCARD_RETURN_IF_ERROR(
+          featurizer_->FeaturizeBatch(queries, x.data().data()));
+      ReportStage(obs::Stage::kFeaturize, featurize_timer.Seconds(), label);
+    }
+    obs::TraceSpan predict_span("estimate.predict");
+    const obs::ScopedTimer predict_timer;
+    const std::vector<float> preds = model_->PredictBatch(x);
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i].estimate = ml::LabelToCard(preds[i]);
+    }
+    ReportStage(obs::Stage::kPredict, predict_timer.Seconds(), label);
+    return common::Status::Ok();
+  });
+}
 
 common::Status MscnEstimator::Train(const std::vector<query::Query>& queries,
                                     const std::vector<double>& cards,
@@ -113,39 +116,28 @@ common::Status MscnEstimator::Train(const std::vector<query::Query>& queries,
   return model_.Fit(train_samples, train_labels, &valid_samples, &valid_labels);
 }
 
-common::StatusOr<double> MscnEstimator::EstimateCard(
-    const query::Query& q) const {
-  QFCARD_ASSIGN_OR_RETURN(const featurize::MscnSample sample,
-                          featurizer_.Featurize(q));
-  return ml::LabelToCard(model_.Predict(sample));
-}
-
-common::StatusOr<std::vector<double>> MscnEstimator::EstimateBatch(
-    const std::vector<query::Query>& queries) const {
-  obs::TraceSpan span("estimate.batch");
-  const std::string backend_label = "backend=" + name();
-  obs::ScopedTimer timer("estimate.batch_seconds", backend_label);
-  obs::IncrementCounter("estimate.queries", backend_label,
-                        static_cast<uint64_t>(queries.size()));
-  std::vector<featurize::MscnSample> samples;
-  {
-    obs::TraceSpan featurize_span("estimate.featurize");
-    obs::ScopedTimer featurize_timer("estimate.featurize_seconds",
-                                     backend_label);
-    QFCARD_RETURN_IF_ERROR(FeaturizeMscnBatch(featurizer_, queries, &samples));
-    obs::StageCapture::Report(obs::Stage::kFeaturize,
-                              featurize_timer.Seconds());
-  }
-  obs::TraceSpan predict_span("estimate.predict");
-  obs::ScopedTimer predict_timer("estimate.predict_seconds", backend_label);
-  std::vector<double> out(queries.size());
-  common::GlobalPool().ParallelFor(
-      static_cast<int64_t>(queries.size()), [&](int64_t i) {
-        const size_t idx = static_cast<size_t>(i);
-        out[idx] = ml::LabelToCard(model_.Predict(samples[idx]));
-      });
-  obs::StageCapture::Report(obs::Stage::kPredict, predict_timer.Seconds());
-  return out;
+common::Status MscnEstimator::EstimateInto(
+    std::span<const query::Query> queries,
+    std::span<EstimateResponse> out) const {
+  return ObserveBatch(*this, queries.size(), [&](const std::string& label) {
+    std::vector<featurize::MscnSample> samples;
+    {
+      obs::TraceSpan featurize_span("estimate.featurize");
+      const obs::ScopedTimer featurize_timer;
+      QFCARD_RETURN_IF_ERROR(
+          FeaturizeMscnBatch(featurizer_, queries, &samples));
+      ReportStage(obs::Stage::kFeaturize, featurize_timer.Seconds(), label);
+    }
+    obs::TraceSpan predict_span("estimate.predict");
+    const obs::ScopedTimer predict_timer;
+    common::GlobalPool().ParallelFor(
+        static_cast<int64_t>(queries.size()), [&](int64_t i) {
+          const size_t idx = static_cast<size_t>(i);
+          out[idx].estimate = ml::LabelToCard(model_.Predict(samples[idx]));
+        });
+    ReportStage(obs::Stage::kPredict, predict_timer.Seconds(), label);
+    return common::Status::Ok();
+  });
 }
 
 }  // namespace qfcard::est

@@ -28,12 +28,12 @@ class MlEstimator : public CardinalityEstimator {
                        const std::vector<double>& cards,
                        double valid_fraction, uint64_t seed) override;
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
   /// Batched estimate: featurizes the whole batch into one row-major matrix
   /// (Featurizer::FeaturizeBatch) and runs the model's batched predict —
   /// one featurization pass and one model pass instead of per-query calls.
-  common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override;
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<EstimateResponse> out) const override;
   std::string name() const override {
     return model_->name() + "+" + featurizer_->name();
   }
@@ -72,10 +72,10 @@ class MscnEstimator : public CardinalityEstimator {
                        const std::vector<double>& cards,
                        double valid_fraction, uint64_t seed = 0) override;
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
   /// Batched estimate: set-featurizes and predicts all queries in parallel.
-  common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override;
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<EstimateResponse> out) const override;
   std::string name() const override {
     return featurizer_.mode() ==
                    featurize::MscnFeaturizer::PredMode::kPerPredicate

@@ -162,7 +162,14 @@ double PostgresStyleEstimator::CompoundSelectivity(
   return std::clamp(sel, 0.0, 1.0);
 }
 
-common::StatusOr<double> PostgresStyleEstimator::EstimateCard(
+common::Status PostgresStyleEstimator::EstimateInto(
+    std::span<const query::Query> queries,
+    std::span<EstimateResponse> out) const {
+  return EstimateEach(*this, queries, out,
+                      [&](size_t i) { return EstimateOne(queries[i]); });
+}
+
+common::StatusOr<double> PostgresStyleEstimator::EstimateOne(
     const query::Query& q) const {
   QFCARD_RETURN_IF_ERROR(query::ValidateQuery(q, *catalog_));
   // Per-table selected fractions under the independence assumption.

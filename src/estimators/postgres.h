@@ -44,7 +44,9 @@ class PostgresStyleEstimator : public CardinalityEstimator {
   static common::StatusOr<PostgresStyleEstimator> Build(
       const storage::Catalog* catalog, const PostgresOptions& options = {});
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<EstimateResponse> out) const override;
   std::string name() const override { return "postgres"; }
   size_t SizeBytes() const override;
 
@@ -59,6 +61,8 @@ class PostgresStyleEstimator : public CardinalityEstimator {
 
  private:
   PostgresStyleEstimator() = default;
+
+  common::StatusOr<double> EstimateOne(const query::Query& q) const;
 
   double ClauseSelectivity(const ColumnSynopsis& synopsis,
                            const query::ConjunctiveClause& clause) const;

@@ -52,8 +52,9 @@ struct EstimateRequest {
   query::Query query;
   EstimateOptions options;
   /// Feature-space hash to route to, skipping the hash computation. 0 (the
-  /// default) means "compute serve::FeatureSpaceHash(query)". A nonzero hint
-  /// is still subject to the router's admission policy.
+  /// default) means "compute serve::FeatureSpaceHash(query)". Read only by
+  /// the router (serve::ModelRouter::Resolve); estimators ignore it. A
+  /// nonzero hint is still subject to the router's admission policy.
   uint64_t route_hint = 0;
 };
 

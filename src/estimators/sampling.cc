@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/thread_pool.h"
 #include "query/query.h"
 
 namespace qfcard::est {
@@ -31,28 +30,16 @@ common::StatusOr<double> SamplingEstimator::EstimateWithRng(
   return std::max(static_cast<double>(matches) / p_, 1.0);
 }
 
-common::StatusOr<double> SamplingEstimator::EstimateCard(
-    const query::Query& q) const {
-  common::Rng rng(common::MixSeed(seed_, draws_.fetch_add(1)));
-  return EstimateWithRng(q, rng);
-}
-
-common::StatusOr<std::vector<double>> SamplingEstimator::EstimateBatch(
-    const std::vector<query::Query>& queries) const {
+common::Status SamplingEstimator::EstimateInto(
+    std::span<const query::Query> queries,
+    std::span<EstimateResponse> out) const {
   // Ticket i of this batch is exactly the ticket query i would have drawn
   // from a serial EstimateCard loop, so results match it bit for bit.
   const uint64_t base = draws_.fetch_add(queries.size());
-  std::vector<double> out(queries.size(), 0.0);
-  QFCARD_RETURN_IF_ERROR(common::GlobalPool().ParallelForStatus(
-      static_cast<int64_t>(queries.size()), [&](int64_t i) -> common::Status {
-        const size_t idx = static_cast<size_t>(i);
-        common::Rng rng(
-            common::MixSeed(seed_, base + static_cast<uint64_t>(i)));
-        QFCARD_ASSIGN_OR_RETURN(out[idx],
-                                EstimateWithRng(queries[idx], rng));
-        return common::Status::Ok();
-      }));
-  return out;
+  return EstimateEach(*this, queries, out, [&](size_t i) {
+    common::Rng rng(common::MixSeed(seed_, base + static_cast<uint64_t>(i)));
+    return EstimateWithRng(queries[i], rng);
+  });
 }
 
 size_t SamplingEstimator::SizeBytes() const {

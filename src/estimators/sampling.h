@@ -18,7 +18,7 @@ namespace qfcard::est {
 /// Each estimate draws from its own random stream, derived from the base
 /// seed and a monotone draw ticket (common::MixSeed): draw k answers with
 /// the same sample whether it was issued by EstimateCard or by any thread
-/// of EstimateBatch, so batched results are byte-identical to the serial
+/// of a batch, so batched results are byte-identical to the serial
 /// per-query loop at every QFCARD_THREADS setting, while repeated estimates
 /// of the same query still see fresh samples.
 ///
@@ -31,11 +31,11 @@ class SamplingEstimator : public CardinalityEstimator {
                     uint64_t seed)
       : catalog_(catalog), p_(sample_fraction), seed_(seed) {}
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
   /// Parallel batch: reserves one draw ticket per query up front, then
   /// samples all queries concurrently with their per-ticket streams.
-  common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override;
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<EstimateResponse> out) const override;
   std::string name() const override { return "sampling"; }
   /// Expected resident size of one sample (Section 5.7 reports ~0.1% of the
   /// data size).

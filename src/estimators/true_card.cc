@@ -7,7 +7,14 @@
 
 namespace qfcard::est {
 
-common::StatusOr<double> TrueCardEstimator::EstimateCard(
+common::Status TrueCardEstimator::EstimateInto(
+    std::span<const query::Query> queries,
+    std::span<EstimateResponse> out) const {
+  return EstimateEach(*this, queries, out,
+                      [&](size_t i) { return EstimateOne(queries[i]); });
+}
+
+common::StatusOr<double> TrueCardEstimator::EstimateOne(
     const query::Query& q) const {
   // Returns the raw count (possibly 0): q-error computation clamps to >= 1
   // itself, and exact counts must stay exact for consumers like the

@@ -15,10 +15,14 @@ class TrueCardEstimator : public CardinalityEstimator {
   explicit TrueCardEstimator(const storage::Catalog* catalog)
       : catalog_(catalog) {}
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<EstimateResponse> out) const override;
   std::string name() const override { return "true"; }
 
  private:
+  common::StatusOr<double> EstimateOne(const query::Query& q) const;
+
   const storage::Catalog* catalog_;
 };
 

@@ -140,27 +140,30 @@ void RunCell(const MatrixOptions& options, const est::EstimatorInfo& info,
   }
   const std::vector<double>& estimates = *estimates_or;
 
-  // Per-cell aggregation through obs::Histogram, the same machinery the
-  // registry exports — bucket-interpolated quantiles, exact mean/max.
-  obs::Histogram qhist(obs::QErrorBounds());
+  // Exact per-cell statistics over every q-error; the exported
+  // eval.matrix.qerror histogram is live telemetry only.
+  std::vector<double> qerrors;
+  qerrors.reserve(estimates.size());
   for (size_t i = 0; i < estimates.size(); ++i) {
     const double q = ml::QError(inst.test[i].card, estimates[i]);
-    qhist.Observe(q);
+    qerrors.push_back(q);
     if (obs::MetricsEnabled()) {
       obs::MetricsRegistry::Global()
           .HistogramNamed("eval.matrix.qerror", obs::QErrorBounds(), labels)
           ->Observe(q);
     }
   }
+  const ml::QErrorSummary summary =
+      ml::QErrorSummary::FromErrors(std::move(qerrors));
   cell->status = CellStatus::kOk;
   cell->train_queries = static_cast<int64_t>(inst.train.size());
   cell->test_queries = static_cast<int64_t>(inst.test.size());
-  cell->qerror_mean = qhist.Mean();
-  cell->qerror_p50 = qhist.P50();
-  cell->qerror_p90 = qhist.P90();
-  cell->qerror_p95 = qhist.P95();
-  cell->qerror_p99 = qhist.Quantile(0.99);
-  cell->qerror_max = qhist.Max();
+  cell->qerror_mean = summary.mean;
+  cell->qerror_p50 = summary.median;
+  cell->qerror_p90 = summary.p90;
+  cell->qerror_p95 = summary.p95;
+  cell->qerror_p99 = summary.p99;
+  cell->qerror_max = summary.max;
   cell->group_aware = !(family.group_by && !info.group_aware);
   cell->learns_online = info.learns_online;
   if (options.include_timings && !inst.test.empty()) {

@@ -42,9 +42,8 @@ enum class CellStatus {
 
 const char* CellStatusToString(CellStatus status);
 
-/// One estimator x family result. Quantiles come from a per-cell
-/// obs::Histogram over QErrorBounds, so report numbers and the exported
-/// eval.matrix.* telemetry agree by construction.
+/// One estimator x family result. q-error statistics are exact
+/// (ml::QErrorSummary::FromErrors over the cell's test queries).
 struct MatrixCell {
   std::string estimator;
   std::string family;
@@ -91,9 +90,8 @@ struct MatrixReport {
 
 /// Runs the full sweep: builds each family instance once, then drives every
 /// estimator through Train + EstimateBatch (global thread pool) on it.
-/// Per-cell q-error quantiles and usec/query are aggregated via
-/// obs::Histogram; eval.matrix.* counters/histograms land in the global
-/// metrics registry when metrics are enabled. Fails only on unknown
+/// Per-cell q-error statistics are exact; eval.matrix.* counters/histograms
+/// land in the global metrics registry when metrics are enabled. Fails only on unknown
 /// estimator/family names or a family build failure — per-cell failures
 /// are reported in the cell's status instead of aborting the sweep.
 common::StatusOr<MatrixReport> RunMatrix(const MatrixOptions& options);

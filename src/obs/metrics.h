@@ -257,7 +257,12 @@ class ScopedTimer {
   /// Records into histogram `name` on destruction/Stop when metrics are on.
   explicit ScopedTimer(const char* name, std::string labels = "")
       : start_(Now()), name_(name), labels_(std::move(labels)) {}
-  ~ScopedTimer() { Stop(); }
+  /// Records like Stop() unless already stopped. Reads the clock only when
+  /// it records: a plain stopwatch, or any timer while metrics are off,
+  /// costs nothing here.
+  ~ScopedTimer() {
+    if (!stopped_ && name_ != nullptr && MetricsEnabled()) Stop();
+  }
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;

@@ -26,8 +26,10 @@
 ///                q-error-driven tier arbiter in front of the ML path, and
 ///                the drift-triggered retrainer (docs/adaptive.md)
 ///
-/// Estimation is batch-first: prefer est::CardinalityEstimator::EstimateBatch
-/// and featurize::Featurizer::FeaturizeBatch over per-query calls; both fan
+/// Estimation is batch-first: every est::CardinalityEstimator implements one
+/// virtual, EstimateInto, behind the EstimateBatch / EstimateRequests /
+/// Estimate / EstimateCard helpers. Prefer the batch helpers and
+/// featurize::Featurizer::FeaturizeBatch over per-query calls; both fan
 /// out over a process-wide thread pool sized by the QFCARD_THREADS
 /// environment variable and return results byte-identical to the serial
 /// path at every thread count. Estimators are constructed by name through

@@ -1,5 +1,6 @@
 #include "query/query.h"
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -161,10 +162,25 @@ common::StatusOr<std::string> QueryToSql(const Query& q,
   return out.str();
 }
 
+common::Status ValidateLiterals(const Query& q) {
+  for (const CompoundPredicate& cp : q.predicates) {
+    for (const ConjunctiveClause& clause : cp.disjuncts) {
+      for (const SimplePredicate& p : clause.preds) {
+        if (!std::isfinite(p.value)) {
+          return common::Status::InvalidArgument(
+              "predicate literal is not a finite number");
+        }
+      }
+    }
+  }
+  return common::Status::Ok();
+}
+
 common::Status ValidateQuery(const Query& q, const storage::Catalog& catalog) {
   if (q.tables.empty()) {
     return common::Status::InvalidArgument("query has no tables");
   }
+  QFCARD_RETURN_IF_ERROR(ValidateLiterals(q));
   std::vector<const storage::Table*> tables;
   for (const TableRef& ref : q.tables) {
     QFCARD_ASSIGN_OR_RETURN(const storage::Table* t, catalog.GetTable(ref.name));

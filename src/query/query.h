@@ -113,8 +113,13 @@ common::StatusOr<std::string> QueryToSql(const Query& q,
 
 /// Validates structural invariants: table indices in range, compound
 /// predicates reference a single attribute each, at most one compound per
-/// attribute, join refs in range.
+/// attribute, join refs in range, and (via ValidateLiterals) finite literals.
 common::Status ValidateQuery(const Query& q, const storage::Catalog& catalog);
+
+/// Catalog-free half of ValidateQuery: rejects NaN and +/-inf predicate
+/// literals with InvalidArgument. No column holds them, and estimators and
+/// the executor disagree on how they compare (a < NaN matches no row).
+common::Status ValidateLiterals(const Query& q);
 
 }  // namespace qfcard::query
 

@@ -64,12 +64,10 @@ class LoadedEstimator : public est::CardinalityEstimator {
                   std::unique_ptr<est::CardinalityEstimator> inner)
       : partitioner_(std::move(partitioner)), inner_(std::move(inner)) {}
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override {
-    return inner_->EstimateCard(q);
-  }
-  common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override {
-    return inner_->EstimateBatch(queries);
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<est::EstimateResponse> out) const override {
+    return inner_->EstimateInto(queries, out);
   }
   common::Status Train(const std::vector<query::Query>& queries,
                        const std::vector<double>& cards, double valid_fraction,

@@ -6,6 +6,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/query.h"
 
 namespace qfcard::serve {
 
@@ -153,6 +154,10 @@ common::Status EstimationServer::Enqueue(const est::EstimateRequest& request,
           "estimation server is not running"));
     }
   }
+  // Rejected here, one request at a time, so a bad literal never fails the
+  // micro-batch it would have joined.
+  const common::Status literals = query::ValidateLiterals(request.query);
+  if (!literals.ok()) return reject(literals);
   // Routing runs outside mu_: the router has its own lock, and an
   // intelligent-policy first sight may build a model.
   common::StatusOr<ModelRouter::Resolution> resolution_or =
@@ -263,8 +268,8 @@ bool EstimationServer::FlushOneBatch(bool drain) {
   double exec_seconds = 0.0;
   double featurize_seconds = 0.0;
   double predict_seconds = 0.0;
-  common::StatusOr<std::vector<est::EstimateResponse>> responses_or =
-      [&]() -> common::StatusOr<std::vector<est::EstimateResponse>> {
+  std::vector<est::EstimateResponse> responses(batch.size());
+  const common::Status status = [&]() -> common::Status {
     // Re-attach to the first member's trace across the thread boundary;
     // every other member joins as a follow-from link, and each member gets
     // a serve.queue_wait span (admission -> execution) under its own root.
@@ -279,12 +284,10 @@ bool EstimationServer::FlushOneBatch(bool drain) {
     // Stage capture: the backend's featurize/predict blocks report their
     // seconds here, giving every member its attribution split.
     obs::StageCapture capture;
-    std::vector<est::EstimateRequest> requests(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      requests[i].query = std::move(batch[i].query);
-    }
-    common::StatusOr<std::vector<est::EstimateResponse>> result =
-        serving->EstimateRequests(requests);
+    std::vector<query::Query> queries;
+    queries.reserve(batch.size());
+    for (PendingRequest& p : batch) queries.push_back(std::move(p.query));
+    common::Status result = serving->EstimateInto(queries, responses);
     if (!result.ok()) span.MarkError();
     exec_seconds = exec_timer.Seconds();
     featurize_seconds = capture.seconds(obs::Stage::kFeaturize);
@@ -296,8 +299,7 @@ bool EstimationServer::FlushOneBatch(bool drain) {
   // Stamp provenance and per-request latency (queue wait + execution)
   // before publishing the slots.
   const obs::Clock::time_point completed = obs::Now();
-  if (responses_or.ok()) {
-    std::vector<est::EstimateResponse>& responses = responses_or.value();
+  if (status.ok()) {
     for (size_t i = 0; i < batch.size(); ++i) {
       responses[i].route_id = due_route;
       responses[i].latency_seconds =
@@ -326,7 +328,7 @@ bool EstimationServer::FlushOneBatch(bool drain) {
   // children, so a kept root protects a tree that is already in the ring.
   for (const PendingRequest& p : batch) {
     obs::RecordTraceRoot("serve.request", p.ctx.trace_id, p.enqueued,
-                         completed, due_route, !responses_or.ok());
+                         completed, due_route, !status.ok());
   }
   if (obs::MetricsEnabled()) {
     const obs::TraceBuffer& buffer = obs::TraceBuffer::Global();
@@ -340,10 +342,10 @@ bool EstimationServer::FlushOneBatch(bool drain) {
 
   mu_.Lock();
   for (size_t i = 0; i < batch.size(); ++i) {
-    if (responses_or.ok()) {
-      batch[i].slot->response = responses_or.value()[i];
+    if (status.ok()) {
+      batch[i].slot->response = std::move(responses[i]);
     } else {
-      batch[i].slot->status = responses_or.status();
+      batch[i].slot->status = status;
     }
     batch[i].slot->done = true;
   }

@@ -45,7 +45,7 @@ struct EstimationServerOptions {
 /// submit EstimateRequests concurrently; the server routes each to its
 /// feature-space model via the ModelRouter and coalesces requests that hit
 /// the same route — across client connections — into one
-/// ServingEstimator::EstimateRequests call through a bounded micro-batching
+/// ServingEstimator::EstimateInto call through a bounded micro-batching
 /// queue (flush on size or deadline).
 ///
 /// Because every estimator's batch results are byte-identical to the serial

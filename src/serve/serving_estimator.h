@@ -15,7 +15,7 @@
 namespace qfcard::serve {
 
 /// CardinalityEstimator front that hot-swaps the model it serves while
-/// concurrent EstimateBatch traffic runs.
+/// concurrent estimation traffic runs.
 ///
 /// Memory-ordering contract (docs/serving.md): the active model is published
 /// through one std::atomic<std::shared_ptr<const CardinalityEstimator>>.
@@ -37,20 +37,12 @@ class ServingEstimator : public est::CardinalityEstimator {
   ServingEstimator(std::shared_ptr<const est::CardinalityEstimator> initial,
                    uint64_t version);
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
-
-  /// Request API (docs/batch_api.md): pins the active model once for the
-  /// whole call and stamps each response with the served model version.
-  common::StatusOr<est::EstimateResponse> Estimate(
-      const est::EstimateRequest& request) const override;
-  common::StatusOr<std::vector<est::EstimateResponse>> EstimateRequests(
-      const std::vector<est::EstimateRequest>& requests) const override;
-
-  /// Deprecated entry point: forwards to EstimateRequests and strips the
-  /// responses down to the bare estimates (see docs/batch_api.md). New
-  /// callers should use EstimateRequests and keep the provenance fields.
-  common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override;
+  /// Pins the active model once for the whole call, forwards to its
+  /// EstimateInto (so provenance it stamps, such as the adaptive front's
+  /// tier, survives) and stamps each response with the served model version.
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<est::EstimateResponse> out) const override;
 
   /// The active model is immutable: train a candidate offline and Swap it
   /// in (see adapt::Retrainer). Always returns FailedPrecondition.

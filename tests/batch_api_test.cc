@@ -94,16 +94,21 @@ TEST_F(BatchApiTest, FeaturizeBatchMatchesFeaturizeInto) {
   }
 }
 
-// EstimateBatch == the EstimateCard loop for every stateless estimator in
-// the comparison set, at 1 and 4 threads.
+// EstimateBatch, EstimateRequests and Estimate == the EstimateCard loop for
+// every stateless registry estimator that handles the fixture's mixed
+// workload (sampling's tickets have their own test below), at 1 and 4
+// threads.
 TEST_F(BatchApiTest, EstimateBatchMatchesSerialLoop) {
   const Fixture& f = GetFixture();
   const EstimatorOptions opts = FastOptions();
-  // gb+complex because the fixture workload is mixed (the conjunctive QFT
-  // rejects disjunctions).
-  for (const std::string& name :
-       {std::string("postgres"), std::string("true"),
-        std::string("gb+complex")}) {
+  std::vector<EstimateRequest> requests(f.queries.size());
+  for (size_t i = 0; i < f.queries.size(); ++i) {
+    requests[i].query = f.queries[i];
+  }
+  int checked = 0;
+  for (const EstimatorInfo& info : RegisteredEstimatorInfos()) {
+    if (!info.supports_disjunctions || info.kind == "sampling") continue;
+    const std::string& name = info.name;
     common::SetGlobalThreads(1);
     const std::unique_ptr<CardinalityEstimator> estimator =
         MakeEstimator(name, f.catalog, opts).value();
@@ -112,13 +117,27 @@ TEST_F(BatchApiTest, EstimateBatchMatchesSerialLoop) {
     for (const query::Query& q : f.queries) {
       serial.push_back(estimator->EstimateCard(q).value());
     }
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(estimator->Estimate(requests[i]).value().estimate, serial[i])
+          << name << " query " << i;
+    }
     for (const int threads : {1, 4}) {
       common::SetGlobalThreads(threads);
       const std::vector<double> batch =
           estimator->EstimateBatch(f.queries).value();
       EXPECT_EQ(serial, batch) << name << " at " << threads << " threads";
+      const std::vector<EstimateResponse> responses =
+          estimator->EstimateRequests(requests).value();
+      ASSERT_EQ(responses.size(), serial.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(responses[i].estimate, serial[i])
+            << name << " at " << threads << " threads, query " << i;
+      }
     }
+    ++checked;
   }
+  // postgres, true, mscn+conj and {gb,nn,linear}+complex.
+  EXPECT_EQ(checked, 6);
 }
 
 // MSCN's per-attribute mode handles the mixed workload; parity across

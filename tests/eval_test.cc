@@ -159,11 +159,10 @@ TEST(TimerTest, MeasuresElapsedTime) {
 }
 
 TEST(SummaryTest, SummarizeByGroupPinnedQuantiles) {
-  // Regression pin for the histogram-backed quantile path: a fixed
-  // deterministic workload of q-errors must keep reporting these exact
-  // interpolated values. Inputs use only integer-derived doubles, so bucket
-  // assignment is platform-exact. If QErrorBounds() or
-  // obs::Histogram::Quantile changes, recompute the constants consciously.
+  // Regression pin: a fixed deterministic workload of q-errors must keep
+  // reporting these exact sort-based quantiles (QErrorSummary::FromErrors).
+  // If the quantile definition changes, recompute the constants
+  // consciously.
   std::vector<double> errors;
   std::vector<int> groups;
   errors.reserve(400);
@@ -174,27 +173,22 @@ TEST(SummaryTest, SummarizeByGroupPinnedQuantiles) {
   }
   const auto grouped = SummarizeByGroup(errors, groups);
   ASSERT_EQ(grouped.size(), 2u);
-  // count/max are exact regardless of bucketing; mean is sum/count, exact.
   EXPECT_EQ(grouped.at(0).count, 200u);
   EXPECT_EQ(grouped.at(1).count, 200u);
   const ml::QErrorSummary& s0 = grouped.at(0);
   EXPECT_DOUBLE_EQ(s0.max, 10.98);
-  // Pinned interpolated quantiles (fixed inputs -> fixed bucket counts).
-  EXPECT_DOUBLE_EQ(s0.median, 5.975609756097561);
-  // p95 interpolates to 12.619 inside the (10, 15] bucket; the quantile
-  // is clamped to the observed max.
-  EXPECT_DOUBLE_EQ(s0.p95, 10.98);
-  // Sanity: the interpolated values stay within one bucket of the exact
-  // sort-based quantiles.
+  // Linear interpolation between the 100th/101st and 190th/191st of the
+  // 200 sorted group-0 values (6.06/6.08 and 10.56/10.58).
+  EXPECT_DOUBLE_EQ(s0.median, 6.07);
+  EXPECT_DOUBLE_EQ(s0.p95, 10.561);
+  // Identical to summarizing the group's sample directly.
   std::vector<double> g0;
   for (int i = 0; i < 400; i += 2) g0.push_back(errors[static_cast<size_t>(i)]);
-  std::sort(g0.begin(), g0.end());
-  const double exact_p50 = ml::QuantileSorted(g0, 0.50);
-  const double exact_p95 = ml::QuantileSorted(g0, 0.95);
-  EXPECT_GT(s0.median, exact_p50 / 1.5);
-  EXPECT_LT(s0.median, exact_p50 * 1.5);
-  EXPECT_GT(s0.p95, exact_p95 / 1.5);
-  EXPECT_LT(s0.p95, exact_p95 * 1.5);
+  const ml::QErrorSummary direct = ml::QErrorSummary::FromErrors(g0);
+  EXPECT_EQ(s0.median, direct.median);
+  EXPECT_EQ(s0.p95, direct.p95);
+  EXPECT_EQ(s0.p99, direct.p99);
+  EXPECT_EQ(s0.mean, direct.mean);
 }
 
 }  // namespace

@@ -27,11 +27,28 @@ using testutil::SmallCatalog;
 // Deliberately broken estimators used to verify the checkers detect
 // violations.
 
+// Answers each query with Card(query).
+class PerQueryEstimator : public est::CardinalityEstimator {
+ public:
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<est::EstimateResponse> out) const override {
+    return est::EstimateEach(*this, queries, out,
+                             [&](size_t i) { return Card(queries[i]); });
+  }
+
+ private:
+  virtual double Card(const query::Query& q) const = 0;
+};
+
 // Anti-monotone in range width: estimate is the negated sum of literals, so
 // widening an upper bound (literal grows) shrinks the estimate.
-class NegatedLiteralSumEstimator : public est::CardinalityEstimator {
+class NegatedLiteralSumEstimator : public PerQueryEstimator {
  public:
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override {
+  std::string name() const override { return "negated-literal-sum"; }
+
+ private:
+  double Card(const query::Query& q) const override {
     double sum = 0.0;
     for (const query::CompoundPredicate& cp : q.predicates) {
       for (const query::ConjunctiveClause& clause : cp.disjuncts) {
@@ -40,39 +57,44 @@ class NegatedLiteralSumEstimator : public est::CardinalityEstimator {
     }
     return sum;
   }
-  std::string name() const override { return "negated-literal-sum"; }
 };
 
 // Grows with predicate count: adding a conjunct increases the estimate.
-class PredicateCountEstimator : public est::CardinalityEstimator {
+class PredicateCountEstimator : public PerQueryEstimator {
  public:
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override {
+  std::string name() const override { return "predicate-count"; }
+
+ private:
+  double Card(const query::Query& q) const override {
     return static_cast<double>(q.predicates.size()) * 10.0;
   }
-  std::string name() const override { return "predicate-count"; }
 };
 
 // Shrinks as IN-lists grow: superset gets a smaller estimate.
-class NegatedDisjunctCountEstimator : public est::CardinalityEstimator {
+class NegatedDisjunctCountEstimator : public PerQueryEstimator {
  public:
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override {
+  std::string name() const override { return "negated-disjunct-count"; }
+
+ private:
+  double Card(const query::Query& q) const override {
     double disjuncts = 0.0;
     for (const query::CompoundPredicate& cp : q.predicates) {
       disjuncts += static_cast<double>(cp.disjuncts.size());
     }
     return 1000.0 - disjuncts;
   }
-  std::string name() const override { return "negated-disjunct-count"; }
 };
 
 // Order-sensitive: the estimate depends on which predicate comes first.
-class FirstPredicateEstimator : public est::CardinalityEstimator {
+class FirstPredicateEstimator : public PerQueryEstimator {
  public:
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override {
+  std::string name() const override { return "first-predicate"; }
+
+ private:
+  double Card(const query::Query& q) const override {
     if (q.predicates.empty()) return 1.0;
     return static_cast<double>(q.predicates.front().col.column + 1);
   }
-  std::string name() const override { return "first-predicate"; }
 };
 
 query::Query RangeQuery() {

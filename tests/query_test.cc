@@ -1,5 +1,7 @@
 #include "query/query.h"
 
+#include <limits>
+
 #include "gtest/gtest.h"
 #include "query/normalize.h"
 #include "test_util.h"
@@ -138,6 +140,21 @@ TEST(ValidateQueryTest, RejectsEmptyDisjunct) {
   q.predicates.push_back(cp);
   EXPECT_EQ(ValidateQuery(q, cat).code(),
             common::StatusCode::kInvalidArgument);
+}
+
+TEST(ValidateQueryTest, RejectsNonFiniteLiterals) {
+  const storage::Catalog cat = SmallCatalog();
+  for (const double literal : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+    Query q = SingleTableQuery("small");
+    AddPredicate(q, 0, CmpOp::kLt, literal);
+    EXPECT_EQ(ValidateLiterals(q).code(), common::StatusCode::kInvalidArgument)
+        << literal;
+    EXPECT_EQ(ValidateQuery(q, cat).code(),
+              common::StatusCode::kInvalidArgument)
+        << literal;
+  }
 }
 
 TEST(QueryToSqlTest, RendersMixedQuery) {

@@ -152,8 +152,11 @@ TEST(ModelStore, RetainLatestRemovesOldVersionsWithoutReuse) {
 class ConstEstimator : public est::CardinalityEstimator {
  public:
   explicit ConstEstimator(double value) : value_(value) {}
-  common::StatusOr<double> EstimateCard(const query::Query&) const override {
-    return value_;
+  common::Status EstimateInto(
+      std::span<const query::Query> queries,
+      std::span<est::EstimateResponse> out) const override {
+    return est::EstimateEach(*this, queries, out,
+                             [this](size_t) { return value_; });
   }
   std::string name() const override { return "const"; }
 

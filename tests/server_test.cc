@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -241,8 +242,8 @@ TEST(RequestApi, ServingEstimatorStampsVersionAndForwardsLegacyBatch) {
   }
   auto responses = serving.EstimateRequests(requests);
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
-  // The deprecated bare overload forwards to the request API, so the two
-  // must agree exactly (docs/batch_api.md).
+  // The bare helper and the request API run the same EstimateInto, so the
+  // two must agree exactly (docs/batch_api.md).
   const std::vector<double> bare = serving.EstimateBatch(queries).value();
   ASSERT_EQ(responses->size(), bare.size());
   for (size_t i = 0; i < bare.size(); ++i) {
@@ -289,6 +290,28 @@ TEST(EstimationServer, RoutingRejectionsPropagateToClients) {
   EXPECT_EQ(response.status().code(),
             common::StatusCode::kFailedPrecondition);
   server.Stop();
+}
+
+// A non-finite literal is rejected at admission, one request at a time: the
+// well-formed requests submitted beside it are still answered, and the bad
+// one opens no route.
+TEST(EstimationServer, NonFiniteLiteralIsRejectedAtAdmission) {
+  const storage::Catalog catalog = ServerCatalog();
+  ModelRouter router(SharedModelOptions(Postgres(catalog)));
+  EstimationServer server(&router);
+  server.Start();
+  std::vector<est::EstimateRequest> requests(3);
+  requests[0].query = ShapeA(5.0);
+  requests[1].query = ShapeB(1.0, std::numeric_limits<double>::quiet_NaN());
+  requests[2].query = ShapeA(7.0);
+  const auto results = server.EstimateMany(requests);
+  server.Stop();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].ok());
+  ASSERT_FALSE(results[1].ok());
+  EXPECT_EQ(results[1].status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(results[2].ok());
+  EXPECT_EQ(router.NumRoutes(), 1u);
 }
 
 // The tentpole guarantee: micro-batching is unobservable. Every response
