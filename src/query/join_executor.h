@@ -16,9 +16,11 @@ namespace qfcard::query {
 class JoinExecutor {
  public:
   /// Returns the exact count(*) of the (possibly joined) query `q` against
-  /// `catalog`. Selections are pushed below the joins; joins are executed as
-  /// hash joins in the order tables appear in `q.tables` (each table must
-  /// join with at least one earlier table).
+  /// `catalog`; with GROUP BY, the number of groups, as Executor::Count
+  /// does. Selections are pushed below the joins; hash joins start from
+  /// `q.tables[0]` and each step adds the lowest-indexed table that joins an
+  /// already joined one (a disconnected join graph is InvalidArgument). A
+  /// count above INT64_MAX is OutOfRange.
   static common::StatusOr<int64_t> Count(const storage::Catalog& catalog,
                                          const Query& q);
 

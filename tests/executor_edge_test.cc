@@ -2,7 +2,9 @@
 // evaluators in src/testing/reference_eval.h (satellite of the differential
 // testing subsystem; the fuzzer covers the same pairs on random inputs).
 
+#include <initializer_list>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -159,6 +161,213 @@ TEST(ExecutorEdgeTest, JoinWithSelectiveAndEmptyPredicates) {
     EXPECT_EQ(engine.value(), 0);
     EXPECT_EQ(ref.value(), 0);
   }
+}
+
+// ---- join semantics pinned against the nested-loop reference -------------
+
+// Engine and reference join counts must agree exactly; returns the agreed
+// count.
+int64_t AgreedJoinCount(const storage::Catalog& catalog, const Query& q) {
+  const auto engine = JoinExecutor::Count(catalog, q);
+  const auto ref = ReferenceJoinCount(catalog, q);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+  if (!engine.ok() || !ref.ok()) return -1;
+  EXPECT_EQ(engine.value(), ref.value());
+  return engine.value();
+}
+
+Query FromTables(std::initializer_list<const char*> names) {
+  Query q;
+  for (const char* name : names) q.tables.push_back(TableRef{name, name});
+  return q;
+}
+
+void AddJoin(Query& q, int left_table, int left_col, int right_table,
+             int right_col) {
+  q.joins.push_back(JoinPredicate{ColumnRef{left_table, left_col},
+                                  ColumnRef{right_table, right_col}});
+}
+
+TEST(JoinSemanticsTest, NanMatchesNothingAndSignedZerosMatch) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  storage::Catalog catalog;
+  {
+    storage::Table a("a");
+    QFCARD_CHECK_OK(
+        a.AddColumn(testutil::FloatColumn("k", {nan, 0.0, -0.0, 1, nan})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(a)));
+    storage::Table b("b");
+    QFCARD_CHECK_OK(
+        b.AddColumn(testutil::FloatColumn("k", {-0.0, nan, 0.0, 1, 1, 3})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(b)));
+  }
+  Query q = FromTables({"a", "b"});
+  AddJoin(q, 0, 0, 1, 0);
+  // Each of a's two zeros meets b's two zeros (4); a's 1 meets two 1s (2).
+  EXPECT_EQ(AgreedJoinCount(catalog, q), 6);
+  Query flipped = FromTables({"b", "a"});
+  AddJoin(flipped, 0, 0, 1, 0);
+  EXPECT_EQ(AgreedJoinCount(catalog, flipped), 6);
+}
+
+TEST(JoinSemanticsTest, TwoPredicatesBetweenOnePair) {
+  storage::Catalog catalog;
+  {
+    storage::Table a("a");
+    QFCARD_CHECK_OK(a.AddColumn(IntColumn("x", {1, 1, 2, 2, 3})));
+    QFCARD_CHECK_OK(a.AddColumn(IntColumn("y", {1, 2, 1, 2, 3})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(a)));
+    storage::Table b("b");
+    QFCARD_CHECK_OK(b.AddColumn(IntColumn("x", {1, 1, 1, 2, 3, 3})));
+    QFCARD_CHECK_OK(b.AddColumn(IntColumn("y", {1, 1, 2, 3, 3, 4})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(b)));
+  }
+  Query q = FromTables({"a", "b"});
+  AddJoin(q, 0, 0, 1, 0);  // hashed
+  AddJoin(q, 1, 1, 0, 1);  // verified after the probe
+  // (1,1) x2, (1,2) x1, (3,3) x1; the x-only join would give 10.
+  EXPECT_EQ(AgreedJoinCount(catalog, q), 4);
+}
+
+TEST(JoinSemanticsTest, Triangle) {
+  // a(ab, ac), b(ab, bc), c(bc, ac): a-b, b-c and c-a close a cycle, so the
+  // last table joined meets two earlier tables.
+  storage::Catalog catalog;
+  {
+    storage::Table a("a");
+    QFCARD_CHECK_OK(a.AddColumn(IntColumn("ab", {0, 0, 1, 2})));
+    QFCARD_CHECK_OK(a.AddColumn(IntColumn("ac", {0, 1, 1, 2})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(a)));
+    storage::Table b("b");
+    QFCARD_CHECK_OK(b.AddColumn(IntColumn("ab", {0, 0, 1, 1, 2})));
+    QFCARD_CHECK_OK(b.AddColumn(IntColumn("bc", {0, 1, 0, 1, 2})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(b)));
+    storage::Table c("c");
+    QFCARD_CHECK_OK(c.AddColumn(IntColumn("bc", {0, 0, 1, 1, 2})));
+    QFCARD_CHECK_OK(c.AddColumn(IntColumn("ac", {0, 1, 0, 1, 0})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(c)));
+  }
+  Query q = FromTables({"a", "b", "c"});
+  AddJoin(q, 0, 0, 1, 0);  // a.ab = b.ab
+  AddJoin(q, 2, 1, 0, 1);  // c.ac = a.ac
+  AddJoin(q, 1, 1, 2, 0);  // b.bc = c.bc
+  const int64_t count = AgreedJoinCount(catalog, q);
+  EXPECT_GT(count, 0);
+  // The cycle's closing predicate must prune: dropping it counts more.
+  Query open = q;
+  open.joins.pop_back();
+  EXPECT_GT(AgreedJoinCount(catalog, open), count);
+}
+
+TEST(JoinSemanticsTest, ForeignKeyTableFirstChain) {
+  // FROM b, a, c with b-a and b-c: the first table is the one holding both
+  // foreign keys, and both later tables hang off it.
+  storage::Catalog catalog;
+  {
+    storage::Table a("a");
+    QFCARD_CHECK_OK(a.AddColumn(IntColumn("id", {0, 1, 1, 2})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(a)));
+    storage::Table b("b");
+    QFCARD_CHECK_OK(b.AddColumn(IntColumn("a_id", {0, 1, 1, 2, 5})));
+    QFCARD_CHECK_OK(b.AddColumn(IntColumn("c_id", {7, 7, 8, 9, 7})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(b)));
+    storage::Table c("c");
+    QFCARD_CHECK_OK(c.AddColumn(IntColumn("id", {7, 7, 8})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(c)));
+  }
+  Query q = FromTables({"b", "a", "c"});
+  AddJoin(q, 0, 0, 1, 0);  // b.a_id = a.id
+  AddJoin(q, 2, 0, 0, 1);  // c.id = b.c_id
+  // b0: 1*2, b1: 2*2, b2: 2*1, b3: c misses, b4: a misses.
+  EXPECT_EQ(AgreedJoinCount(catalog, q), 8);
+}
+
+TEST(JoinSemanticsTest, WeightCarriesIntoALaterLiveSlot) {
+  // FROM h, s, c, d with h-s, h-c, c-d: s folds into h's weights, then c
+  // stays live for d while h dies, so c's tuples must carry those weights.
+  storage::Catalog catalog;
+  {
+    storage::Table h("h");
+    QFCARD_CHECK_OK(h.AddColumn(IntColumn("id", {0, 1, 2})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(h)));
+    storage::Table s("s");
+    QFCARD_CHECK_OK(s.AddColumn(IntColumn("h_id", {0, 0, 0, 1, 1, 2})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(s)));
+    storage::Table c("c");
+    QFCARD_CHECK_OK(c.AddColumn(IntColumn("h_id", {0, 1, 1, 2})));
+    QFCARD_CHECK_OK(c.AddColumn(IntColumn("d_id", {5, 5, 6, 7})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(c)));
+    storage::Table d("d");
+    QFCARD_CHECK_OK(d.AddColumn(IntColumn("id", {5, 5, 6, 7, 7, 7})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(d)));
+  }
+  Query q = FromTables({"h", "s", "c", "d"});
+  AddJoin(q, 1, 0, 0, 0);  // s.h_id = h.id
+  AddJoin(q, 2, 0, 0, 0);  // c.h_id = h.id
+  AddJoin(q, 2, 1, 3, 0);  // c.d_id = d.id
+  // h0: 3 s * (c0 -> 2 d) = 6; h1: 2 s * (c1 -> 2 d + c2 -> 1 d) = 6;
+  // h2: 1 s * (c3 -> 3 d) = 3.
+  EXPECT_EQ(AgreedJoinCount(catalog, q), 15);
+}
+
+TEST(JoinSemanticsTest, GroupedJoinCountsDistinctKeys) {
+  storage::Catalog catalog;
+  {
+    storage::Table dim("dim");
+    QFCARD_CHECK_OK(dim.AddColumn(IntColumn("id", {0, 1, 2})));
+    QFCARD_CHECK_OK(dim.AddColumn(IntColumn("region", {10, 20, 10})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(dim)));
+    storage::Table fact("fact");
+    QFCARD_CHECK_OK(fact.AddColumn(IntColumn("dim_id", {0, 0, 1, 1, 2, 2})));
+    QFCARD_CHECK_OK(fact.AddColumn(IntColumn("kind", {1, 2, 1, 1, 2, 2})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(fact)));
+  }
+  Query q = FromTables({"dim", "fact"});
+  AddJoin(q, 1, 0, 0, 0);
+  EXPECT_EQ(AgreedJoinCount(catalog, q), 6);
+  q.group_by.push_back(ColumnRef{0, 1});  // dim.region: {10, 20}
+  EXPECT_EQ(AgreedJoinCount(catalog, q), 2);
+  q.group_by.push_back(ColumnRef{1, 1});  // (region, kind): 3 pairs
+  EXPECT_EQ(AgreedJoinCount(catalog, q), 3);
+  q.group_by = {ColumnRef{1, 1}};  // fact.kind only, the dead-last slot
+  EXPECT_EQ(AgreedJoinCount(catalog, q), 2);
+}
+
+TEST(JoinSemanticsTest, GroupedSingleTableMatchesExecutor) {
+  storage::Catalog catalog;
+  {
+    storage::Table t("t");
+    QFCARD_CHECK_OK(t.AddColumn(IntColumn("g", {1, 1, 2, 2, 3, 3})));
+    QFCARD_CHECK_OK(t.AddColumn(IntColumn("v", {5, 6, 7, 8, 9, 10})));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(t)));
+  }
+  Query q = SingleTableQuery("t");
+  AddPredicate(q, 1, CmpOp::kLe, 8);  // rows 0..3 -> groups {1, 2}
+  q.group_by.push_back(ColumnRef{0, 0});
+  const auto engine = JoinExecutor::Count(catalog, q);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine.value(), 2);
+  EXPECT_EQ(engine.value(), AgreedCount(catalog.table(0), q));
+}
+
+TEST(JoinSemanticsTest, CountAboveInt64IsOutOfRange) {
+  // A hub and four satellites of 10^4 rows sharing one key: 10^20 results.
+  storage::Catalog catalog;
+  const std::vector<double> ones(10000, 1.0);
+  for (const char* name : {"t0", "t1", "t2", "t3", "t4"}) {
+    storage::Table t(name);
+    QFCARD_CHECK_OK(t.AddColumn(IntColumn("k", ones)));
+    QFCARD_CHECK_OK(catalog.AddTable(std::move(t)));
+  }
+  Query q = FromTables({"t0", "t1", "t2", "t3", "t4"});
+  for (int t = 1; t < 5; ++t) AddJoin(q, t, 0, 0, 0);
+  EXPECT_EQ(JoinExecutor::Count(catalog, q).status().code(),
+            common::StatusCode::kOutOfRange);
+  // Four tables stay representable: 10^16.
+  q.tables.pop_back();
+  q.joins.pop_back();
+  EXPECT_EQ(JoinExecutor::Count(catalog, q).value(), 10000000000000000LL);
 }
 
 // ---- LIKE metamorphic invariants -----------------------------------------

@@ -234,6 +234,58 @@ TEST(JoinExecutorTest, MaterializeProducesJoinedTable) {
   EXPECT_EQ(Executor::Count(mat, local).value(), 3);
 }
 
+// Materialized rows follow the probe side's scan order, and each probe
+// row's matches come in ascending build-row order.
+TEST(JoinExecutorTest, MaterializeRowOrder) {
+  const storage::Catalog cat = MakeJoinCatalog();
+  const SchemaGraph graph = MakeJoinGraph();
+  const auto column_of = [](const storage::Table& t, const std::string& name) {
+    return t.column(t.ColumnIndex(name).value()).data();
+  };
+  for (const std::vector<std::string>& order :
+       {std::vector<std::string>{"orders", "customers"},
+        std::vector<std::string>{"customers", "orders"}}) {
+    const auto mat = JoinExecutor::Materialize(cat, order, graph);
+    ASSERT_TRUE(mat.ok()) << mat.status();
+    EXPECT_EQ(column_of(mat.value(), "orders.id"),
+              (std::vector<double>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(column_of(mat.value(), "customers.id"),
+              (std::vector<double>{0, 0, 1, 1, 2}));
+    EXPECT_EQ(column_of(mat.value(), "customers.region"),
+              (std::vector<double>{10, 10, 20, 20, 10}));
+  }
+}
+
+// Two foreign keys between one pair of tables: every edge is a join
+// predicate, in Materialize as in Count.
+TEST(JoinExecutorTest, MaterializeAppliesEveryEdgeOfAStep) {
+  storage::Catalog cat;
+  storage::Table cities("cities");
+  QFCARD_CHECK_OK(cities.AddColumn(IntColumn("id", {0, 1, 2})));
+  QFCARD_CHECK_OK(cat.AddTable(std::move(cities)));
+  storage::Table trips("trips");
+  QFCARD_CHECK_OK(trips.AddColumn(IntColumn("from_id", {0, 0, 1, 2, 2})));
+  QFCARD_CHECK_OK(trips.AddColumn(IntColumn("to_id", {0, 1, 1, 0, 2})));
+  QFCARD_CHECK_OK(cat.AddTable(std::move(trips)));
+  SchemaGraph graph;
+  graph.AddEdge(FkEdge{"trips", "from_id", "cities", "id"});
+  graph.AddEdge(FkEdge{"trips", "to_id", "cities", "id"});
+
+  Query q;
+  q.tables.push_back(TableRef{"trips", "trips"});
+  q.tables.push_back(TableRef{"cities", "cities"});
+  ASSERT_TRUE(graph.PopulateJoins(cat, q).ok());
+  ASSERT_EQ(q.joins.size(), 2u);
+  const int64_t count = JoinExecutor::Count(cat, q).value();
+  EXPECT_EQ(count, 3);  // the round trips 0->0, 1->1 and 2->2
+
+  const auto mat = JoinExecutor::Materialize(cat, {"trips", "cities"}, graph);
+  ASSERT_TRUE(mat.ok()) << mat.status();
+  Query all;
+  all.tables.push_back(TableRef{mat.value().name(), mat.value().name()});
+  EXPECT_EQ(Executor::Count(mat.value(), all).value(), count);
+}
+
 // Fuzz: three-table joins with random FK values and random selections,
 // checked against a brute-force triple nested loop.
 class JoinFuzzTest : public ::testing::TestWithParam<uint64_t> {};
