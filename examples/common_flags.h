@@ -6,7 +6,7 @@
 //
 //   --metrics-out=PATH  enable telemetry (as if QFCARD_METRICS=1) and write
 //                       the JSON snapshot (metrics + drift monitor + trace
-//                       stats) to PATH on exit; tools/validate_metrics.py
+//                       stats) to PATH on exit; tools/validate_json.py
 //                       checks this file against tools/metrics_schema.json
 //   --trace-out=PATH    enable stage tracing (as if QFCARD_TRACE=1) and
 //                       write the span ring buffer as JSON to PATH on exit

@@ -24,7 +24,7 @@
 // Telemetry flags (--metrics-out, --trace-out) and
 // --adaptive=<off|knn|residual|auto> are shared with the other examples;
 // see examples/common_flags.h. The snapshot carries the serve.route.*
-// families that tools/validate_metrics.py --profile=server checks in CI.
+// families that tools/validate_json.py --profile=server checks in CI.
 //
 // With --adaptive=MODE the demo appends a drift episode (docs/adaptive.md):
 // the forest regenerates with new correlations and 4x fewer rows, and the

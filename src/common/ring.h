@@ -33,11 +33,6 @@ class Ring {
     return true;
   }
 
-  void Clear() {
-    items_.clear();
-    next_slot_ = 0;
-  }
-
   /// Contents, oldest first.
   std::vector<T> ToVector() const {
     std::vector<T> out;

@@ -47,15 +47,10 @@ struct EstimateOptions {
 
 /// One estimation request — the public entry point of the serving API
 /// (docs/batch_api.md). Everything that used to be a bare query-vector
-/// element now travels with its options and an optional routing hint.
+/// element now travels with its options.
 struct EstimateRequest {
   query::Query query;
   EstimateOptions options;
-  /// Feature-space hash to route to, skipping the hash computation. 0 (the
-  /// default) means "compute serve::FeatureSpaceHash(query)". Read only by
-  /// the router (serve::ModelRouter::Resolve); estimators ignore it. A
-  /// nonzero hint is still subject to the router's admission policy.
-  uint64_t route_hint = 0;
 };
 
 /// Where one request's latency went, in seconds (docs/serving.md). Filled

@@ -6,12 +6,13 @@
 namespace qfcard::obs {
 
 /// The telemetry clock. This header is the ONLY place in src/ allowed to
-/// call std::chrono::steady_clock::now() — tools/qfcard_lint.py's
+/// call std::chrono::steady_clock::now() — tools/qfcard_analyze.py's
 /// raw-steady-clock rule rejects direct calls everywhere else, so every
 /// duration in the repo (bench timings, runtime telemetry, plan execution
 /// cost) flows through one clock path and can be reasoned about (and, if
 /// ever needed, faked) in one place. steady_clock is monotonic, so readings
-/// never leak wall-clock state into reports (see the wall-clock lint rule).
+/// never leak wall-clock state into reports (see the analyzer's wall-clock
+/// rule).
 using Clock = std::chrono::steady_clock;
 
 /// Current reading of the telemetry clock.

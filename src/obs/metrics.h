@@ -195,7 +195,7 @@ class MetricsRegistry {
 
   /// JSON object with "counters"/"gauges"/"histograms" arrays; see
   /// docs/observability.md for the exact shape (validated in CI by
-  /// tools/validate_metrics.py against tools/metrics_schema.json).
+  /// tools/validate_json.py against tools/metrics_schema.json).
   std::string ToJson() const;
   /// Prometheus text exposition ("name{labels} value" lines, histograms as
   /// cumulative _bucket/_sum/_count series).

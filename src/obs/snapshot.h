@@ -8,7 +8,7 @@ namespace qfcard::obs {
 /// One JSON document capturing the full telemetry state: the metrics
 /// registry (counters/gauges/histograms), the global q-error drift monitor,
 /// and trace-buffer occupancy. This is what `qfcard_cli --metrics-out`
-/// writes and what tools/validate_metrics.py checks against
+/// writes and what tools/validate_json.py checks against
 /// tools/metrics_schema.json in CI. Shape documented in
 /// docs/observability.md.
 std::string SnapshotJson();

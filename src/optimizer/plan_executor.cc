@@ -39,20 +39,10 @@ common::StatusOr<TupleSet> ExecNode(ExecContext& ctx, const JoinPlan& plan,
 
 common::StatusOr<TupleSet> ExecLeaf(ExecContext& ctx, int slot) {
   // Push the selections on this table below the join.
-  query::Query local;
-  local.tables.push_back(ctx.q->tables[static_cast<size_t>(slot)]);
-  for (const query::CompoundPredicate& cp : ctx.q->predicates) {
-    if (cp.col.table != slot) continue;
-    query::CompoundPredicate rebased = cp;
-    rebased.col.table = 0;
-    for (query::ConjunctiveClause& clause : rebased.disjuncts) {
-      for (query::SimplePredicate& p : clause.preds) p.col.table = 0;
-    }
-    local.predicates.push_back(std::move(rebased));
-  }
   QFCARD_ASSIGN_OR_RETURN(
       std::vector<int32_t> rows,
-      query::Executor::Filter(*ctx.tables[static_cast<size_t>(slot)], local));
+      query::Executor::FilterSlot(*ctx.tables[static_cast<size_t>(slot)],
+                                  *ctx.q, slot));
   TupleSet out;
   out.slots.push_back(slot);
   out.rows = std::move(rows);

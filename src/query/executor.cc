@@ -67,6 +67,22 @@ common::StatusOr<std::vector<int32_t>> Executor::Filter(
   return rows;
 }
 
+common::StatusOr<std::vector<int32_t>> Executor::FilterSlot(
+    const storage::Table& table, const Query& q, int slot) {
+  Query local;
+  local.tables.push_back(q.tables[static_cast<size_t>(slot)]);
+  for (const CompoundPredicate& cp : q.predicates) {
+    if (cp.col.table != slot) continue;
+    CompoundPredicate rebased = cp;
+    rebased.col.table = 0;
+    for (ConjunctiveClause& clause : rebased.disjuncts) {
+      for (SimplePredicate& p : clause.preds) p.col.table = 0;
+    }
+    local.predicates.push_back(std::move(rebased));
+  }
+  return Filter(table, local);
+}
+
 common::StatusOr<int64_t> Executor::Count(const storage::Table& table,
                                           const Query& q) {
   QFCARD_ASSIGN_OR_RETURN(const std::vector<int32_t> rows, Filter(table, q));

@@ -21,6 +21,13 @@ class Executor {
   static common::StatusOr<std::vector<int32_t>> Filter(
       const storage::Table& table, const Query& q);
 
+  /// Selection pushdown for one slot of a multi-table query: returns the row
+  /// ids of `table` (the table of slot `slot` of `q`) satisfying the compound
+  /// predicates of `q` that reference that slot. Join predicates and the
+  /// predicates of other slots are ignored.
+  static common::StatusOr<std::vector<int32_t>> FilterSlot(
+      const storage::Table& table, const Query& q, int slot);
+
   /// Returns count(*) of `q` over `table`. If the query has a GROUP BY
   /// clause, returns the number of groups (the result size of the grouped
   /// count query, per Section 6).

@@ -12,24 +12,6 @@ namespace qfcard::query {
 
 namespace {
 
-// Applies the single-table compound predicates of `q` that reference table
-// slot `t`, returning qualifying row ids.
-common::StatusOr<std::vector<int32_t>> FilterTable(
-    const storage::Table& table, const Query& q, int t) {
-  Query local;
-  local.tables.push_back(q.tables[static_cast<size_t>(t)]);
-  for (const CompoundPredicate& cp : q.predicates) {
-    if (cp.col.table != t) continue;
-    CompoundPredicate rebased = cp;
-    rebased.col.table = 0;
-    for (ConjunctiveClause& clause : rebased.disjuncts) {
-      for (SimplePredicate& p : clause.preds) p.col.table = 0;
-    }
-    local.predicates.push_back(std::move(rebased));
-  }
-  return Executor::Filter(table, local);
-}
-
 common::Status CountOverflow() {
   return common::Status::OutOfRange("join count exceeds the int64 range");
 }
@@ -305,8 +287,8 @@ common::StatusOr<int64_t> JoinExecutor::Count(const storage::Catalog& catalog,
   // Push selections below the joins.
   std::vector<std::vector<int32_t>> rows(tables.size());
   for (size_t t = 0; t < tables.size(); ++t) {
-    QFCARD_ASSIGN_OR_RETURN(rows[t],
-                            FilterTable(*tables[t], q, static_cast<int>(t)));
+    QFCARD_ASSIGN_OR_RETURN(
+        rows[t], Executor::FilterSlot(*tables[t], q, static_cast<int>(t)));
     if (rows[t].empty()) return 0;
   }
 

@@ -122,8 +122,7 @@ uint64_t FeatureSpaceHash(const query::Query& q) {
   h = FnvU64(h, predicates);
   h = FnvU64(h, group_by);
   const uint64_t fss = Mix64(h);
-  // 0 is reserved as the "no route / compute it yourself" sentinel in
-  // EstimateRequest::route_hint and as the forced-mode default route id.
+  // 0 is reserved as the forced-mode default route id.
   return fss == 0 ? 1 : fss;
 }
 

@@ -83,11 +83,10 @@ void ModelRouter::SetDefaultRoute(std::shared_ptr<ServingEstimator> serving) {
 }
 
 common::StatusOr<ModelRouter::Resolution> ModelRouter::Resolve(
-    const query::Query& q, const est::EstimateOptions& options,
-    uint64_t route_hint) {
+    const query::Query& q, const est::EstimateOptions& options) {
   obs::TraceSpan span("serve.route.resolve");
   Resolution resolution;
-  resolution.fss = route_hint != 0 ? route_hint : FeatureSpaceHash(q);
+  resolution.fss = FeatureSpaceHash(q);
   resolution.route_id = resolution.fss;
 
   common::MutexLock lock(&mu_);

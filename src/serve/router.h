@@ -78,7 +78,7 @@ class ModelRouter {
   void SetDefaultRoute(std::shared_ptr<ServingEstimator> serving);
 
   struct Resolution {
-    /// Feature-space hash of the query (or the caller's hint).
+    /// Feature-space hash of the query.
     uint64_t fss = 0;
     /// Route that will serve it: == fss normally, 0 for the forced-mode
     /// default route.
@@ -89,14 +89,13 @@ class ModelRouter {
     bool created = false;
   };
 
-  /// Routes one query: computes FeatureSpaceHash(q) (or takes `route_hint`
-  /// when nonzero), then applies the admission policy to a miss. Rejections
+  /// Routes one query: computes FeatureSpaceHash(q), then applies the
+  /// admission policy to a miss. Rejections
   /// come back as FailedPrecondition (unknown shape under kControlled, or
   /// options.allow_route_creation = false) or ResourceExhausted (max_routes
   /// hit under kIntelligent).
-  common::StatusOr<Resolution> Resolve(const query::Query& q,
-                                       const est::EstimateOptions& options = {},
-                                       uint64_t route_hint = 0);
+  common::StatusOr<Resolution> Resolve(
+      const query::Query& q, const est::EstimateOptions& options = {});
 
   /// The route's model, or nullptr when `fss` is unknown. The forced-mode
   /// default route is id 0.

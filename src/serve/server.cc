@@ -161,7 +161,7 @@ common::Status EstimationServer::Enqueue(const est::EstimateRequest& request,
   // Routing runs outside mu_: the router has its own lock, and an
   // intelligent-policy first sight may build a model.
   common::StatusOr<ModelRouter::Resolution> resolution_or =
-      router_->Resolve(request.query, request.options, request.route_hint);
+      router_->Resolve(request.query, request.options);
   if (!resolution_or.ok()) return reject(resolution_or.status());
   ModelRouter::Resolution resolution = std::move(resolution_or).value();
   trace_route = resolution.route_id;

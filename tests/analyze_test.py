@@ -3,11 +3,12 @@ tools/testdata/analyze_proj/ (docs/static_analysis.md).
 
 The fixture tree seeds one violation per pass — an upward layer include, an
 include cycle, a lock-order cycle, an unannotated guarded member, a
-discarded Status, an unregistered metric, a dead catalog entry, and a
-required-but-uncatalogued series — plus the suppression-contract cases:
-a justified suppression per rule (must silence exactly that rule), one
-reasonless suppression (itself a finding), and one suppression naming the
-wrong rule (must not silence).
+discarded Status, an unregistered metric, a dead catalog entry, a
+required-but-uncatalogued series, and each determinism rule (in
+src/determinism/bad.cc) — plus the suppression-contract cases: a justified
+suppression per rule (must silence exactly that rule), reasonless
+suppressions (themselves findings), and one suppression naming the wrong
+rule (must not silence). src/determinism/good.cc must analyze clean.
 
 Source-file expectations are `// expect: <rule>` markers on the finding
 line; the two schema-side findings are asserted explicitly because
@@ -27,6 +28,7 @@ import unittest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ANALYZE = ROOT / "tools" / "qfcard_analyze.py"
 FIXTURE = ROOT / "tools" / "testdata" / "analyze_proj"
+DETERMINISM = FIXTURE / "src" / "determinism"
 
 EXPECT_RE = re.compile(r"//\s*expect:\s*(?P<rules>[\w-]+(?:\s+[\w-]+)*)")
 FINDING_RE = re.compile(
@@ -93,7 +95,10 @@ class AnalyzeSelfTest(unittest.TestCase):
         rules = {r for _, _, r, _ in self.findings}
         self.assertEqual(rules, {"layer", "include-cycle", "guarded-by",
                                  "lock-order", "error-policy",
-                                 "discarded-status", "telemetry"})
+                                 "discarded-status", "telemetry",
+                                 "banned-random", "wall-clock",
+                                 "unordered-iter", "unordered-container",
+                                 "raw-steady-clock"})
 
     def test_justified_suppressions_silence_exactly_their_rule(self):
         out = self.proc.stdout
@@ -102,15 +107,47 @@ class AnalyzeSelfTest(unittest.TestCase):
         self.assertNotIn("api2.h", out)
         self.assertNotIn("noted_", out)
         self.assertNotIn("justified.counter", out)
-        # The wrong-rule suppression on mismatched_ must NOT silence.
+        # Wrong-rule suppressions must NOT silence: mismatched_, and the
+        # ok(wall-clock) above a std::rand() in determinism/bad.cc.
         self.assertIn("mismatched_", out)
+        wrong = next(i for i, l in enumerate(
+            (DETERMINISM / "bad.cc").read_text().splitlines(), start=1)
+            if "int wrong" in l)
+        self.assertIn(f"determinism/bad.cc:{wrong}: [banned-random]", out)
 
     def test_reasonless_suppression_is_a_finding(self):
-        lazy = [(f, l, r, m) for f, l, r, m in self.findings
-                if "suppression has no reason" in m]
-        self.assertEqual(len(lazy), 1, self.proc.stdout)
-        self.assertEqual(lazy[0][0], "storage/store.h")
-        self.assertEqual(lazy[0][2], "guarded-by")
+        lazy = sorted((f, r) for f, _, r, m in self.findings
+                      if "suppression has no reason" in m)
+        self.assertEqual(lazy, [("determinism/bad.cc", "banned-random"),
+                                ("storage/store.h", "guarded-by")],
+                         self.proc.stdout)
+
+    def test_determinism_fixture_covers_regressed_rules(self):
+        # The multimap and alias cases were historical false negatives; pin
+        # that the fixture still exercises them so a rule regression cannot
+        # hide behind a stale fixture.
+        text = (DETERMINISM / "bad.cc").read_text()
+        self.assertIn("unordered_multimap", text)
+        self.assertRegex(text, r"using\s+\w+\s*=\s*std::unordered_")
+
+    def test_good_determinism_fixture_is_clean(self):
+        self.assertEqual(
+            [f for f in self.findings if f[0] == "determinism/good.cc"], [])
+
+    def test_comments_and_strings_are_not_code(self):
+        # Code after a string literal holding "//" is still checked, and a
+        # block comment naming a banned call is not flagged.
+        def line_of(path: pathlib.Path, needle: str) -> int:
+            lines = path.read_text().splitlines()
+            return next(i for i, l in enumerate(lines, start=1)
+                        if needle in l)
+
+        after_string = line_of(DETERMINISM / "bad.cc", '"http://x"')
+        self.assertIn(("determinism/bad.cc", after_string, "banned-random"),
+                      {(f, l, r) for f, l, r, _ in self.findings})
+        block = line_of(DETERMINISM / "good.cc", "/* std::rand()")
+        self.assertEqual([f for f in self.findings
+                          if f[:2] == ("determinism/good.cc", block)], [])
 
     def test_json_report_graphs(self):
         include_graph = self.report["include_graph"]

@@ -234,17 +234,6 @@ TEST(RingTest, CapacityOneKeepsNewest) {
   EXPECT_TRUE(none.empty());
 }
 
-TEST(RingTest, ClearResets) {
-  Ring<int> ring(2);
-  for (int v = 1; v <= 5; ++v) ring.Push(v);
-  ring.Clear();
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.Push(6));
-  EXPECT_FALSE(ring.Push(7));
-  EXPECT_TRUE(ring.Push(8));
-  EXPECT_EQ(ring.ToVector(), (std::vector<int>{7, 8}));
-}
-
 TEST(EnvTest, ScalePickDefault) {
   // QFCARD_SCALE is unset in the test environment.
   if (std::getenv("QFCARD_SCALE") == nullptr) {

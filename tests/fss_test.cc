@@ -91,7 +91,8 @@ TEST(FeatureSpaceHash, PinnedCorpus) {
 }
 
 TEST(FeatureSpaceHash, NeverReturnsTheSentinel) {
-  // 0 is reserved for "no route hint"; even the empty query hashes off it.
+  // 0 is reserved as the forced-mode default route id; even the empty query
+  // hashes off it.
   EXPECT_NE(FeatureSpaceHash(query::Query{}), 0u);
 }
 

@@ -4,7 +4,7 @@
 // byte-identical run-to-run AND across thread-pool sizes — CI diffs the
 // QFCARD_THREADS=1 and =4 legs against each other, so any drift here is a
 // release blocker. The remaining tests pin the report structure the
-// tools/validate_bench.py validator and the perf-trajectory consumers
+// tools/validate_json.py validator and the perf-trajectory consumers
 // parse, plus the eval.matrix.* telemetry the metrics schema requires.
 
 #include "eval/matrix.h"

@@ -198,19 +198,6 @@ TEST(ModelRouter, ControlledPolicyServesOnlyPreRegisteredShapes) {
   EXPECT_EQ(router.RouteLabel(fss_a), "shape-a");
 }
 
-TEST(ModelRouter, RouteHintOverridesHashing) {
-  const storage::Catalog catalog = ServerCatalog();
-  ModelRouter router(SharedModelOptions(Postgres(catalog)));
-  const auto opened = router.Resolve(ShapeA(5.0));
-  ASSERT_TRUE(opened.ok());
-
-  // A ShapeB query pinned to ShapeA's route by hint lands there.
-  auto hinted = router.Resolve(ShapeB(1.0, 2.0), {}, opened->route_id);
-  ASSERT_TRUE(hinted.ok());
-  EXPECT_EQ(hinted->route_id, opened->route_id);
-  EXPECT_EQ(router.NumRoutes(), 1u);
-}
-
 // --- Request/response API --------------------------------------------------
 
 TEST(RequestApi, BaseEstimatorDefaultsMatchEstimateCard) {

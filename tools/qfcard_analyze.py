@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""qfcard whole-project architecture analyzer (docs/static_analysis.md).
+"""qfcard source analyzer (docs/static_analysis.md).
 
-Where tools/qfcard_lint.py checks single-file source patterns, this tool
-checks the cross-file contracts the serving stack depends on: the layer DAG,
-the lock-acquisition order, the no-exceptions error policy, and the
-telemetry catalog. Four passes over src/:
+Checks the contracts the serving stack and the replayable fuzzer depend on:
+the layer DAG, the lock-acquisition order, the no-exceptions error policy,
+the telemetry catalog, and the determinism rules. Five passes over src/:
 
 layer            The `#include` graph over src/ must be acyclic and respect
                  the layer order declared in tools/layers.json (common ->
@@ -40,9 +39,30 @@ telemetry        Every metric / trace-span name registered in src/
                  registration site, and every series the schema requires
                  must be in the catalog — so code and CI profiles cannot
                  drift apart. Rule: `telemetry`.
+determinism      Source patterns that break the replayability contract
+                 (docs/testing.md): a failing fuzzer seed must reproduce
+                 bit-for-bit on any machine, thread count and standard
+                 library. Matched on the scrubbed text, so comments and
+                 string literals never match. Rules:
+                   `banned-random` — std::rand / srand / rand() /
+                   std::random_device outside common/random.*; randomness
+                   flows through common::Rng so streams derive from the seed.
+                   `wall-clock` — system_clock / time(...) / gettimeofday /
+                   localtime / gmtime / strftime / CLOCK_REALTIME.
+                   `unordered-iter` — range-for or .begin() traversal of a
+                   variable declared in the same file as a std::unordered_*
+                   container (map/set/multimap/multiset), directly or through
+                   a `using X = std::unordered_...` alias; hash order is
+                   implementation-defined and must not feed ordered output.
+                   `unordered-container` — every std::unordered_* use
+                   (including declarations through an alias) carries a
+                   justification that its order cannot reach output.
+                   `raw-steady-clock` — steady_clock::now() outside obs/;
+                   timing flows through obs::Now() / ScopedTimer / TraceSpan
+                   so there is one clock path (naming the type stays legal).
 
-Suppressions use the same contract as tools/qfcard_lint.py — on the
-offending line or the contiguous //-comment block directly above:
+Suppressions go on the offending line or the contiguous //-comment block
+directly above:
 
     // qfcard-lint: ok(<rule>): <why this is safe>
 
@@ -158,9 +178,8 @@ class Source:
         return lo + 1
 
     def suppressions(self, idx: int) -> dict[str, str]:
-        """Suppression rules active for 0-based line `idx` (same contract as
-        tools/qfcard_lint.py): the line itself or the contiguous //-comment
-        block directly above."""
+        """Suppression rules active for 0-based line `idx`: the line itself
+        or the contiguous //-comment block directly above."""
         out: dict[str, str] = {}
 
         def collect(probe: int) -> None:
@@ -825,6 +844,98 @@ class Analyzer:
         self.report_extra["telemetry"] = {
             kind: sorted(registered[kind]) for kind in registered}
 
+    # -- pass 5: determinism ------------------------------------------------
+
+    BANNED_RANDOM_RE = re.compile(
+        r"\bstd::rand\b|\bsrand\s*\(|\bstd::random_device\b"
+        r"|(?<![:\w])rand\s*\(\s*\)")
+    WALL_CLOCK_RE = re.compile(
+        r"\bsystem_clock\b|\bgettimeofday\s*\(|\blocaltime(_r)?\s*\("
+        r"|\bgmtime(_r)?\s*\(|\bstrftime\s*\(|\bCLOCK_REALTIME\b"
+        r"|(?<![:\w])time\s*\(\s*(NULL|nullptr|0)?\s*\)")
+    RAW_STEADY_CLOCK_RE = re.compile(r"\bsteady_clock\s*::\s*now\s*\(")
+    UNORDERED_USE_RE = re.compile(
+        r"\bstd::unordered_(map|set|multimap|multiset)\s*<")
+    # "std::unordered_map<...> name": the template argument list may nest <>,
+    # so match greedily to the last "> name" on the line.
+    UNORDERED_DECL_RE = re.compile(
+        r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<.*>"
+        r"\s+(?P<name>\w+)\s*[;({=]")
+    # "using Index = std::unordered_...": variables declared with the alias
+    # are unordered too.
+    UNORDERED_ALIAS_RE = re.compile(
+        r"\busing\s+(?P<name>\w+)\s*=\s*"
+        r"std::unordered_(?:map|set|multimap|multiset)\s*<")
+    # Seeded, replayable randomness is implemented here.
+    RANDOM_IMPL = ("common/random.h", "common/random.cc")
+    # obs::Now() and the telemetry layer built on it: the one clock path.
+    CLOCK_IMPL_PREFIX = "obs/"
+
+    def pass_determinism(self) -> None:
+        for src in self.sources:
+            self._check_determinism(src)
+
+    def _check_determinism(self, src: Source) -> None:
+        lines = src.nostr_lines
+        aliases: set[str] = set()
+        for line in lines:
+            m = self.UNORDERED_ALIAS_RE.search(line)
+            if m:
+                aliases.add(m.group("name"))
+        # Declarations through an alias: "Index idx;" / "Index<K> idx = ...".
+        alias_decl_res = [
+            re.compile(r"\b" + re.escape(a) +
+                       r"(?:\s*<.*>)?\s+(?P<name>\w+)\s*[;({=]")
+            for a in sorted(aliases)]
+        unordered_vars: set[str] = set()
+        for line in lines:
+            for rx in [self.UNORDERED_DECL_RE] + alias_decl_res:
+                m = rx.search(line)
+                if m:
+                    unordered_vars.add(m.group("name"))
+        iter_res = [
+            re.compile(r"for\s*\([^;)]*:\s*" + re.escape(v) + r"\s*\)")
+            for v in sorted(unordered_vars)
+        ] + [
+            # Traversal starts at begin(); comparing an iterator from find()
+            # against end() is a lookup and stays legal.
+            re.compile(r"\b" + re.escape(v) + r"\s*\.\s*c?r?begin\s*\(")
+            for v in sorted(unordered_vars)]
+
+        for idx, code in enumerate(lines):
+            if not code.strip():
+                continue
+            if (self.BANNED_RANDOM_RE.search(code)
+                    and src.rel not in self.RANDOM_IMPL):
+                self.report(src, idx, "banned-random",
+                            "unseeded/unreplayable randomness; use "
+                            "common::Rng (src/common/random.h) so streams "
+                            "derive from the seed")
+            if self.WALL_CLOCK_RE.search(code):
+                self.report(src, idx, "wall-clock",
+                            "wall-clock read in library code; use "
+                            "std::chrono::steady_clock for durations")
+            if (self.RAW_STEADY_CLOCK_RE.search(code)
+                    and not src.rel.startswith(self.CLOCK_IMPL_PREFIX)):
+                self.report(src, idx, "raw-steady-clock",
+                            "raw steady_clock::now() outside src/obs/; route "
+                            "timing through obs::Now(), obs::ScopedTimer, or "
+                            "obs::TraceSpan so the telemetry layer stays the "
+                            "single clock path")
+            if any(rx.search(code) for rx in iter_res):
+                self.report(src, idx, "unordered-iter",
+                            "iteration over an unordered container; hash "
+                            "order is implementation-defined and must not "
+                            "feed ordered output — use std::map/sorted "
+                            "vector, or justify")
+            if self.UNORDERED_USE_RE.search(code) or any(
+                    rx.search(code) for rx in alias_decl_res):
+                self.report(src, idx, "unordered-container",
+                            "unordered container without a justification; "
+                            "explain why its order cannot reach output, e.g. "
+                            "'// qfcard-lint: ok(unordered-container): "
+                            "lookup-only'")
+
     # -- driver --------------------------------------------------------------
 
     def run(self, check_schema_only: bool) -> int:
@@ -835,6 +946,7 @@ class Analyzer:
             self.pass_mutexes()
             self.pass_error_policy()
             self.pass_telemetry()
+            self.pass_determinism()
         self.findings.sort()
         return 1 if self.findings else 0
 
